@@ -1,12 +1,13 @@
 """Benchmark the scenario sweep path and record the perf trajectory.
 
 Unlike the figure benchmarks (which regenerate paper artifacts), this
-module tracks the *engine*: sim-kernel event throughput, hint-synthesis
-memoisation, end-to-end sweep wall time serial vs process pool,
-work-stealing vs static scheduling on a deliberately heterogeneous
-matrix, and cold vs warm content-addressed cell caching. The headline
-numbers are written to ``BENCH_scenarios.json`` (override the location
-with ``JANUS_BENCH_OUT``) so successive PRs can compare.
+module tracks the *engine*: sim-kernel event throughput, the batched
+analytic executor, the Optimal oracle, hint-synthesis memoisation,
+end-to-end sweep wall time serial vs process pool, work-stealing vs
+static scheduling on a deliberately heterogeneous matrix, and cold vs
+warm content-addressed cell caching. The headline numbers are written to
+``BENCH_scenarios.json`` (override the location with ``JANUS_BENCH_OUT``)
+so successive PRs can compare.
 """
 
 from __future__ import annotations
@@ -133,6 +134,50 @@ def test_analytic_batch_throughput(benchmark, bench_requests, bench_samples):
         "janus_requests_per_s": janus_eps,
         "janus_scalar_requests_per_s": scalar_janus_eps,
         "batch_speedup": speedup,
+    }
+    _write_results()
+
+
+def test_oracle_throughput(benchmark, bench_requests):
+    """Requests/s of the Optimal oracle on the IA stream, batched.
+
+    The oracle solves every request's cheapest SLO-feasible plan over its
+    realised dynamics; the batched cost-axis solver is asserted
+    plan-for-plan identical to the per-request budget-axis DP kept in
+    ``tests/oracle_reference.py``, whose rate is recorded alongside.
+    """
+    from repro.policies.oracle import OraclePolicy
+    from repro.runtime.executor import AnalyticExecutor
+    from repro.traces.workload import WorkloadConfig, generate_requests
+    from repro.workflow.catalog import intelligent_assistant
+    from tests.oracle_reference import reference_plan
+
+    wf = intelligent_assistant()
+    n = max(10 * bench_requests, 2000)
+    requests = generate_requests(wf, WorkloadConfig(n_requests=n), seed=99)
+    executor = AnalyticExecutor(wf)
+
+    def batched_rate():
+        best = 0.0
+        for _ in range(3):
+            start = time.perf_counter()
+            result = executor.run(OraclePolicy(wf), requests)
+            best = max(best, n / (time.perf_counter() - start))
+        return best, result
+
+    rate, result = run_once(benchmark, batched_rate)
+    start = time.perf_counter()
+    reference = [reference_plan(wf, r, wf.slo_ms) for r in requests]
+    reference_rate = n / (time.perf_counter() - start)
+    sizes = [[s.size for s in o.stages] for o in result.outcomes]
+    assert sizes == reference
+    print(f"\noracle ({n:,} IA requests): {rate:,.0f} req/s batched vs "
+          f"{reference_rate:,.0f} req/s reference DP "
+          f"({rate / reference_rate:.1f}x), plan-identical")
+    _RESULTS["oracle"] = {
+        "requests": n,
+        "requests_per_s": rate,
+        "reference_requests_per_s": reference_rate,
     }
     _write_results()
 

@@ -67,14 +67,23 @@ class Workflow:
 
     @property
     def chain(self) -> list[str]:
-        """Execution order as a chain (critical path for general DAGs)."""
-        if self.dag.is_chain:
-            return self.dag.as_chain()
-        weights = {
-            n: self.functions[n].base_time(self.limits.kmin)
-            for n in self.dag.nodes
-        }
-        return self.dag.critical_path(weights)
+        """Execution order as a chain (critical path for general DAGs).
+
+        The workflow is frozen, so the order is derived once and cached;
+        every call returns a fresh list callers may modify.
+        """
+        cached = self.__dict__.get("_chain")
+        if cached is None:
+            if self.dag.is_chain:
+                cached = tuple(self.dag.as_chain())
+            else:
+                weights = {
+                    n: self.functions[n].base_time(self.limits.kmin)
+                    for n in self.dag.nodes
+                }
+                cached = tuple(self.dag.critical_path(weights))
+            object.__setattr__(self, "_chain", cached)
+        return list(cached)
 
     @property
     def num_functions(self) -> int:

@@ -45,6 +45,7 @@ class WorkflowDAG:
             raise WorkflowError(f"workflow contains a cycle: {cycle}")
         self._g = g
         self._order = list(nx.topological_sort(g))
+        self._is_chain = self._path_shaped()
 
     # -- introspection ------------------------------------------------------
     @property
@@ -86,6 +87,9 @@ class WorkflowDAG:
     @property
     def is_chain(self) -> bool:
         """True when the DAG is a simple path f1 -> f2 -> ... -> fN."""
+        return self._is_chain
+
+    def _path_shaped(self) -> bool:
         n = self.num_nodes
         if n == 1:
             return True

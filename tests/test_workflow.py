@@ -204,6 +204,31 @@ class TestCatalog:
         with pytest.raises(WorkflowError):
             wf.model("nope")
 
+    def test_chain_is_cached_but_returned_fresh(self):
+        wf = intelligent_assistant()
+        first = wf.chain
+        first.append("bogus")
+        assert wf.chain == ["OD", "QA", "TS"]
+        assert wf.chain is not wf.chain
+        assert wf.topology == "chain"
+
+    def test_critical_path_chain_is_cached_but_returned_fresh(self):
+        heavy = make_function("B", serial=500.0)
+        functions = {
+            "A": make_function("A"), "B": heavy,
+            "C": make_function("C"), "D": make_function("D"),
+        }
+        dag = WorkflowDAG(
+            ["A", "B", "C", "D"],
+            [("A", "B"), ("A", "C"), ("B", "D"), ("C", "D")],
+        )
+        wf = Workflow(name="w", dag=dag, functions=functions, slo_ms=1000.0)
+        assert wf.topology == "dag"
+        wf.chain.clear()
+        assert wf.chain == ["A", "B", "D"]
+        # Cached order stays out of equality, so copies still compare equal.
+        assert wf == Workflow(name="w", dag=dag, functions=functions, slo_ms=1000.0)
+
 
 class TestSubworkflows:
     def test_chain_suffixes(self):

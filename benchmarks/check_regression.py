@@ -5,12 +5,13 @@ Usage::
     python benchmarks/check_regression.py BASELINE.json CURRENT.json
 
 Compares the higher-is-better keys of the guarded sections (the DES
-kernel, the batched analytic executor, the Optimal oracle, the fabric
-scheduler and the fleet router) and exits non-zero when any current number
-falls more than ``JANUS_BENCH_TOLERANCE`` (default 25%) below the committed
-baseline. Wall-time sections (sweeps, caches) are deliberately not
-guarded: they track runner hardware more than code, and the bit-identity
-asserts inside the bench suite already cover their correctness.
+kernel, the batched analytic executor, the Optimal oracle, the saturated
+DES cluster, the fabric scheduler and the fleet router) and exits non-zero
+when any current number falls more than ``JANUS_BENCH_TOLERANCE`` (default
+25%) below the committed baseline. Wall-time sections (sweeps, caches) are
+deliberately not guarded: they track runner hardware more than code, and
+the bit-identity asserts inside the bench suite already cover their
+correctness.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ GUARDED: dict[str, tuple[str, ...]] = {
     # The batched cost-axis Optimal oracle, the default sweep's former
     # dominant cost.
     "oracle": ("requests_per_s",),
+    # A saturated DES cluster cell: pending pods waiting for capacity.
+    "cluster": ("requests_per_s",),
     # Sleep-cell fabric speedup: machine-independent by construction (the
     # cells overlap regardless of core count), so it guards the scheduler
     # itself — real-cell distributed walls stay unguarded like the other

@@ -32,9 +32,7 @@ class ClusterAccounting:
 
     def total_busy(self) -> int:
         """Millicores reserved by pods actively executing right now."""
-        return sum(
-            p.size for vm in self.vms for p in vm.pods() if p.busy
-        )
+        return sum(vm.busy_allocated for vm in self.vms)
 
     def snapshot(self) -> None:
         """Record the current allocation at the current simulation time."""

@@ -143,8 +143,8 @@ class _ServingPlatform:
 
         ``storm`` never reaches the cluster (the scenario layer rewrites
         the arrival process instead), and ``crash`` on a single-VM fleet
-        would leave acquisitions polling a dead cluster forever — both are
-        configuration errors, rejected here.
+        would leave pending pods waiting forever for a VM that never comes
+        back — both are configuration errors, rejected here.
         """
         if faults is not None:
             if faults.kind not in CLUSTER_FAULT_KINDS:

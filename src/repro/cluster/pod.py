@@ -60,10 +60,12 @@ class Pod:
     def start_invocation(self) -> None:
         """WARM -> BUSY."""
         self._transition(PodState.WARM, PodState.BUSY)
+        self.vm.busy_allocated += self._size
 
     def finish_invocation(self) -> None:
         """BUSY -> WARM."""
         self._transition(PodState.BUSY, PodState.WARM)
+        self.vm.busy_allocated -= self._size
         self.invocations_served += 1
 
     def kill(self) -> None:
@@ -81,6 +83,7 @@ class Pod:
         scale-in can never silently drop in-flight work.
         """
         self._transition(PodState.BUSY, PodState.DEAD)
+        self.vm.busy_allocated -= self._size
 
     def _transition(self, expected: PodState, target: PodState) -> None:
         if self.state is not expected:

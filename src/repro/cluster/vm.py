@@ -22,17 +22,37 @@ class VirtualMachine:
         self.vm_id = int(vm_id)
         self.capacity = int(capacity_millicores)
         self._pods: dict[int, "Pod"] = {}
-        #: Availability flag flipped by fault injection (preemption/crash).
-        #: A down VM refuses placement; recovery restores it empty.
-        self.up = True
+        #: Millicores reserved by resident pods, kept in step by
+        #: :meth:`place`, :meth:`evict` and :meth:`resize_pod`.
+        self.allocated: Millicores = 0
+        #: Millicores reserved by resident pods that are executing, kept in
+        #: step by the pods' BUSY transitions.
+        self.busy_allocated: Millicores = 0
+        self._up = True
         #: Transient execution slowdown (>= 1.0) while straggling.
         self.slowdown = 1.0
+        #: Hooks the pool manager installs to keep pending pods in step:
+        #: ``before_change`` runs just before an eviction, a resize or an
+        #: up/down flip; ``on_free`` runs once the VM gained usable capacity
+        #: (a pod evicted, a pod resized down, or the VM back up).
+        self.before_change: _t.Callable[[], None] | None = None
+        self.on_free: _t.Callable[[], None] | None = None
 
     # -- capacity ----------------------------------------------------------
     @property
-    def allocated(self) -> Millicores:
-        """Millicores currently reserved by resident pods."""
-        return sum(p.size for p in self._pods.values())
+    def up(self) -> bool:
+        """Availability flag flipped by fault injection (preemption/crash).
+
+        A down VM refuses placement; recovery restores it empty.
+        """
+        return self._up
+
+    @up.setter
+    def up(self, value: bool) -> None:
+        self._changing()
+        was_up, self._up = self._up, bool(value)
+        if self._up and not was_up:
+            self._freed()
 
     @property
     def free(self) -> Millicores:
@@ -41,7 +61,15 @@ class VirtualMachine:
 
     def fits(self, size: Millicores) -> bool:
         """Whether a pod of ``size`` can be placed here (never on a down VM)."""
-        return self.up and size <= self.free
+        return self._up and size <= self.capacity - self.allocated
+
+    def _changing(self) -> None:
+        if self.before_change is not None:
+            self.before_change()
+
+    def _freed(self) -> None:
+        if self.on_free is not None:
+            self.on_free()
 
     # -- placement ----------------------------------------------------------
     def place(self, pod: "Pod") -> None:
@@ -53,12 +81,16 @@ class VirtualMachine:
                 f"VM {self.vm_id}: pod of {pod.size} mc exceeds free {self.free} mc"
             )
         self._pods[pod.pod_id] = pod
+        self.allocated += pod.size
 
     def evict(self, pod: "Pod") -> None:
         """Remove a pod."""
         if pod.pod_id not in self._pods:
             raise ClusterError(f"pod {pod.pod_id} not on VM {self.vm_id}")
+        self._changing()
         del self._pods[pod.pod_id]
+        self.allocated -= pod.size
+        self._freed()
 
     def resize_pod(self, pod: "Pod", new_size: Millicores) -> None:
         """Adjust a resident pod's reservation (vertical scaling)."""
@@ -71,7 +103,13 @@ class VirtualMachine:
             raise ClusterError(
                 f"VM {self.vm_id}: resize by +{delta} mc exceeds free {self.free} mc"
             )
+        self._changing()
         pod._size = int(new_size)
+        self.allocated += delta
+        if pod.busy:
+            self.busy_allocated += delta
+        if delta < 0:
+            self._freed()
 
     # -- co-location ---------------------------------------------------------
     def pods(self) -> list["Pod"]:

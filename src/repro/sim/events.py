@@ -77,6 +77,22 @@ class Event:
         self.sim._schedule(self, delay)
         return self
 
+    def succeed_now(self, value: _t.Any = None) -> "Event":
+        """Trigger the event and run its callbacks before returning.
+
+        For handing a resource to a waiting process at an exact place in
+        the current instant: a process waiting on this event resumes inside
+        the call, so whatever it schedules next is ordered as if it had
+        been running all along. The event never enters the heap, so it does
+        not count as a processed event.
+        """
+        if self._triggered:
+            raise SimulationError("event already triggered")
+        self._triggered = True
+        self._value = value
+        self._process()
+        return self
+
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
         """Trigger the event as a failure carrying ``exception``."""
         if self._triggered:

@@ -88,15 +88,17 @@ def test_analytic_batch_throughput(benchmark, bench_requests, bench_samples):
     """Requests/s through the batched analytic executor, per policy.
 
     The vectorised ``AnalyticExecutor.run`` evaluates each stage across the
-    whole request stream in one array pass; the scalar ``run_request`` loop
-    is retained as the bit-identity reference. This section records both,
-    so the speedup (and any regression in it) stays visible per PR.
+    whole request stream in one array pass; the scalar reference walk in
+    ``tests/executor_reference.py`` is the bit-identity specification it is
+    pinned against. This section records both, so the speedup (and any
+    regression in it) stays visible per PR.
     """
     from repro.experiments.common import ia_setup
     from repro.policies.early_binding import GrandSLAMPolicy
     from repro.policies.janus import janus
     from repro.runtime.executor import AnalyticExecutor
     from repro.traces.workload import WorkloadConfig, generate_requests
+    from tests.executor_reference import reference_outcomes
 
     wf, profiles, budget = ia_setup(samples=min(bench_samples, 1000), seed=5)
     n = max(10 * bench_requests, 2000)
@@ -113,8 +115,7 @@ def test_analytic_batch_throughput(benchmark, bench_requests, bench_samples):
     def scalar_rate(make_policy):
         policy = make_policy()
         start = time.perf_counter()
-        for r in requests:
-            executor.run_request(policy, r)
+        reference_outcomes(wf, policy, requests)
         return n / (time.perf_counter() - start)
 
     make_grandslam = lambda: GrandSLAMPolicy(wf, profiles)  # noqa: E731

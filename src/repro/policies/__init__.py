@@ -6,7 +6,6 @@ from .dag import (
     DagFixedPolicy,
     DagGrandSLAMPolicy,
     DagJanusPolicy,
-    DagSizingPolicy,
 )
 from .early_binding import (
     FixedPlanPolicy,
@@ -25,7 +24,6 @@ __all__ = [
     "PolicyBuilder",
     "POLICIES",
     "DEFAULT_SUITE",
-    "DagSizingPolicy",
     "DagFixedPolicy",
     "DagGrandSLAMPolicy",
     "DagJanusPolicy",

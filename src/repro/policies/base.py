@@ -5,20 +5,16 @@ this request get?* Early-binding policies answer from a fixed offline plan;
 late-binding policies may use the request's elapsed time (Janus) or even its
 realised execution dynamics (the Optimal oracle).
 
-The canonical entry point is :meth:`SizingPolicy.size_for_node`, keyed by
+The one entry point is :meth:`SizingPolicy.size_for_node`, keyed by
 ``(node, request, elapsed_ms)``: a chain is just a degenerate DAG (see
 :func:`repro.workflow.chain.chain_dag`), so one interface serves both
-topologies. Two compatibility shims keep older policies working:
-
-* :meth:`size_for_stage` — the historical chain API, keyed by stage index.
-  The base implementation maps the index onto :attr:`stage_order` and
-  delegates to :meth:`size_for_node`; stage-indexed policies may still
-  override it and the base :meth:`size_for_node` routes back through it.
-* :meth:`size_for_function` — the historical DAG API. It is now a plain
-  alias of :meth:`size_for_node`; legacy policies that override it are
-  dispatched to transparently.
-
-A concrete policy must override at least one of the three methods.
+topologies. Every concrete policy implements it. The executors call the
+batched :meth:`SizingPolicy.sizes_for_node`, whose base implementation
+loops over the scalar method, so a policy that implements only
+:meth:`size_for_node` runs everywhere; the registry policies override the
+batched method with native vector lookups. Positional policies (fixed
+plans, hint tables) translate a node to its stage index with
+:meth:`SizingPolicy._stage_index` against the order :meth:`bind` derives.
 """
 
 from __future__ import annotations
@@ -47,16 +43,16 @@ class SizingPolicy(abc.ABC):
     #: True for policies that may change sizes at runtime.
     late_binding: bool = False
 
-    #: Node names in execution order, used to translate between the
-    #: stage-indexed chain API and the node-keyed interface. Executors call
-    #: :meth:`bind` to (re)derive it from the workflow they serve.
+    #: Node names in execution order, which positional policies use to map
+    #: a node to its stage index. Executors call :meth:`bind` to (re)derive
+    #: it from the workflow they serve.
     stage_order: tuple[str, ...] | None = None
 
     #: True when sizing depends only on ``(node, request, elapsed)`` — not
     #: on the interleaving of calls across requests — so executors may run
     #: the batched :meth:`sizes_for_node` path (hooks fire begin-all /
     #: node-major / end-all instead of request-major). Order-dependent
-    #: policies set this False to force the scalar request-major path.
+    #: policies set this False to be served one request at a time.
     vector_safe: bool = True
 
     #: Workflow this policy was last bound to (identity-checked by bind()).
@@ -90,28 +86,14 @@ class SizingPolicy(abc.ABC):
     def begin_request(self, request: WorkflowRequest) -> None:
         """Hook invoked when a request starts (before any sizing)."""
 
+    @abc.abstractmethod
     def size_for_node(
         self,
         node: str,
         request: WorkflowRequest,
         elapsed_ms: Milliseconds,
     ) -> Millicores:
-        """Allocation for ``node`` given time already spent.
-
-        The base implementation dispatches to whichever legacy method the
-        subclass overrides; node-keyed policies override this directly.
-        """
-        cls = type(self)
-        if cls.size_for_function is not SizingPolicy.size_for_function:
-            return self.size_for_function(node, request, elapsed_ms)
-        if cls.size_for_stage is not SizingPolicy.size_for_stage:
-            return self.size_for_stage(
-                self._stage_index(node), request, elapsed_ms
-            )
-        raise PolicyError(
-            f"{self.name}: policy overrides none of size_for_node / "
-            f"size_for_stage / size_for_function"
-        )
+        """Allocation for ``node`` given time already spent."""
 
     def sizes_for_node(
         self,
@@ -136,43 +118,17 @@ class SizingPolicy(abc.ABC):
             count=len(requests),
         )
 
-    def size_for_stage(
-        self,
-        stage_index: int,
-        request: WorkflowRequest,
-        elapsed_ms: Milliseconds,
-    ) -> Millicores:
-        """Chain-API compatibility shim: stage ``i`` is ``stage_order[i]``."""
-        order = self._require_order()
-        if not 0 <= stage_index < len(order):
-            raise PolicyError(
-                f"{self.name}: stage {stage_index} outside order of {len(order)}"
-            )
-        return self.size_for_node(order[stage_index], request, elapsed_ms)
-
-    def size_for_function(
-        self,
-        function: str,
-        request: WorkflowRequest,
-        elapsed_ms: Milliseconds,
-    ) -> Millicores:
-        """DAG-API compatibility alias of :meth:`size_for_node`."""
-        return self.size_for_node(function, request, elapsed_ms)
-
     def end_request(self, request: WorkflowRequest) -> None:
         """Hook invoked after the last node completes."""
 
     # ------------------------------------------------------------------
-    def _require_order(self) -> tuple[str, ...]:
-        if self.stage_order is None:
+    def _stage_index(self, node: str) -> int:
+        order = self.stage_order
+        if order is None:
             raise PolicyError(
                 f"{self.name}: no stage order bound; call bind(workflow) or "
                 f"set stage_order before stage-indexed sizing"
             )
-        return self.stage_order
-
-    def _stage_index(self, node: str) -> int:
-        order = self._require_order()
         if self._node_index is None:
             self._node_index = {n: i for i, n in enumerate(order)}
         try:

@@ -44,17 +44,21 @@ class FixedPlanPolicy(SizingPolicy):
         self.name = name
         self.plan = [int(k) for k in plan]
 
-    def size_for_stage(
-        self,
-        stage_index: int,
-        request: WorkflowRequest,
-        elapsed_ms: Milliseconds,
-    ) -> Millicores:
+    def _planned(self, node: str) -> Millicores:
+        stage_index = self._stage_index(node)
         if not 0 <= stage_index < len(self.plan):
             raise PolicyError(
                 f"{self.name}: stage {stage_index} outside plan of {len(self.plan)}"
             )
         return self.plan[stage_index]
+
+    def size_for_node(
+        self,
+        node: str,
+        request: WorkflowRequest,
+        elapsed_ms: Milliseconds,
+    ) -> Millicores:
+        return self._planned(node)
 
     def sizes_for_node(
         self,
@@ -62,12 +66,7 @@ class FixedPlanPolicy(SizingPolicy):
         requests: _t.Sequence[WorkflowRequest],
         elapsed_ms: np.ndarray,
     ) -> np.ndarray:
-        stage_index = self._stage_index(node)
-        if not 0 <= stage_index < len(self.plan):
-            raise PolicyError(
-                f"{self.name}: stage {stage_index} outside plan of {len(self.plan)}"
-            )
-        return np.full(len(requests), self.plan[stage_index], dtype=np.int64)
+        return np.full(len(requests), self._planned(node), dtype=np.int64)
 
     @property
     def total_millicores(self) -> int:

@@ -59,14 +59,14 @@ class JanusPolicy(SizingPolicy):
             HitMissSupervisor(miss_threshold=miss_threshold),
         )
 
-    def size_for_stage(
+    def size_for_node(
         self,
-        stage_index: int,
+        node: str,
         request: WorkflowRequest,
         elapsed_ms: Milliseconds,
     ) -> Millicores:
         budget = self.adapter.slo_ms - elapsed_ms
-        return self.adapter.decide(stage_index, budget).size
+        return self.adapter.decide(self._stage_index(node), budget).size
 
     def sizes_for_node(
         self,

@@ -163,13 +163,13 @@ class OraclePolicy(SizingPolicy):
         self._plan.pop(request.request_id, None)
         self._pending[request.request_id] = request
 
-    def size_for_stage(
+    def size_for_node(
         self,
-        stage_index: int,
+        node: str,
         request: WorkflowRequest,
         elapsed_ms: Milliseconds,
     ) -> Millicores:
-        return self._size(request, stage_index)
+        return self._size(request, self._stage_index(node))
 
     def sizes_for_node(
         self,

@@ -6,26 +6,31 @@ backend is deterministic given (workflow, requests) and every policy sees
 identical dynamics — the apples-to-apples comparison the paper's evaluation
 relies on.
 
-The hot path is batched: :meth:`AnalyticExecutor.run` evaluates each chain
-stage across the *whole* request stream with one vectorised policy lookup
-(:meth:`~repro.policies.base.SizingPolicy.sizes_for_node`) and one array
-latency-model evaluation, materialising stage records column-wise
-(:class:`~repro.runtime.results.OutcomeColumns`). The scalar
-:meth:`~AnalyticExecutor.run_request` survives as the reference
-implementation — the batched path is pinned bit-identical to it by the
-property suite in ``tests/test_vector_exec.py``. Policies whose decisions
-depend on call interleaving across requests set ``vector_safe = False`` to
-keep the request-major scalar order.
+One batched kernel, :meth:`AnalyticExecutor._serve_batch`, serves every
+analytic run. It walks ``(nodes, predecessor indices)`` in execution order
+and evaluates each node across the *whole* batch with one vectorised policy
+lookup (:meth:`~repro.policies.base.SizingPolicy.sizes_for_node`) and one
+array latency-model evaluation. A node starts when its last predecessor
+ends (the elementwise maximum of their end offsets; zero for a root), so
+the same walk serves chains and branching DAGs; stage records are
+materialised column-wise (:class:`~repro.runtime.results.OutcomeColumns`).
+Policies whose decisions depend on call interleaving across requests set
+``vector_safe = False``: they run through the same kernel one request at a
+time, since a batch of one *is* request-major order. The scalar
+specification the kernel is pinned against lives in the test suite.
 
 This backend models per-request latency exactly and resource consumption as
 the per-stage allocations (the paper's CPU-millicore metric); queueing and
 co-location effects are the domain of the DES cluster backend
 (:mod:`repro.cluster`). Registered as ``"analytic"`` — the auto-selected
-backend for chain workflows.
+backend for chain workflows. It walks ``workflow.chain``, so on a branching
+workflow it serves only the critical path (the documented chain
+approximation); the ``"dag"`` subclass walks the full graph.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import typing as _t
 
@@ -35,7 +40,7 @@ from ..errors import ExperimentError
 from ..metrics.streaming import StreamingMoments, StreamingSummary
 from ..policies.base import SizingPolicy
 from ..workflow.catalog import Workflow
-from ..workflow.request import RequestOutcome, StageRecord, WorkflowRequest
+from ..workflow.request import WorkflowRequest
 from .registry import register_executor
 from .results import (
     ColumnarRunResult,
@@ -92,87 +97,47 @@ def _run_hooks(
 
 @register_executor("analytic")
 class AnalyticExecutor:
-    """Replays request streams under a policy, stage-batched across requests."""
+    """Replays request streams under a policy, node-batched across requests."""
 
     def __init__(self, workflow: Workflow, clamp_sizes: bool = True) -> None:
         self.workflow = workflow
         self.clamp_sizes = bool(clamp_sizes)
 
-    # -- scalar reference --------------------------------------------------
-    def run_request(
-        self, policy: SizingPolicy, request: WorkflowRequest
-    ) -> RequestOutcome:
-        """Serve one request; returns its outcome record.
+    def _walk(self) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
+        """``(nodes, predecessor indices)`` in execution order: the chain,
+        each stage waiting on the one before it."""
+        nodes = tuple(self.workflow.chain)
+        return nodes, tuple((j - 1,) if j else () for j in range(len(nodes)))
 
-        This is the scalar reference implementation the batched path is
-        pinned against (and the entry point for one-off serving, e.g. the
-        batching executor and direct tests).
-        """
-        policy.bind(self.workflow)
-        return self._serve_one(policy, request)
-
-    def _serve_one(
-        self, policy: SizingPolicy, request: WorkflowRequest
-    ) -> RequestOutcome:
-        """Scalar serving loop; assumes the policy is already bound."""
-        chain = self.workflow.chain
-        limits = self.workflow.limits
-        policy.begin_request(request)
-        elapsed = 0.0
-        stages: list[StageRecord] = []
-        for fname in chain:
-            size = policy.size_for_node(fname, request, elapsed)
-            if self.clamp_sizes:
-                size = limits.clamp(size)
-            elif not limits.contains(size):
-                raise ExperimentError(
-                    f"{policy.name}: size {size} off-grid for stage {fname}"
-                )
-            model = self.workflow.model(fname)
-            exec_ms = model.execution_time(
-                size, request.dynamics_for(fname), request.concurrency
-            )
-            start = request.arrival_ms + elapsed
-            stages.append(
-                StageRecord(
-                    function=fname,
-                    size=size,
-                    start_ms=start,
-                    end_ms=start + exec_ms,
-                )
-            )
-            elapsed += exec_ms
-        policy.end_request(request)
-        return RequestOutcome(
-            request_id=request.request_id,
-            arrival_ms=request.arrival_ms,
-            slo_ms=request.slo_ms,
-            stages=stages,
-        )
-
-    # -- batched core ------------------------------------------------------
+    # -- the kernel --------------------------------------------------------
     def _serve_batch(
         self, policy: SizingPolicy, requests: _t.Sequence[WorkflowRequest]
     ) -> OutcomeColumns:
-        """Serve a batch with per-stage vector policy/model evaluation.
+        """Serve a batch node by node with vector policy/model evaluation.
 
-        Assumes the policy is bound and ``vector_safe``. Hooks fire
-        begin-all / stage-major / end-all; for order-free policies this is
-        indistinguishable from the scalar request-major order.
+        Assumes the policy is bound. Hooks fire begin-all / node-major /
+        end-all; for ``vector_safe`` policies this is indistinguishable
+        from request-major order, and a one-request batch *is* that order.
         """
-        chain = self.workflow.chain
+        nodes, preds = self._walk()
         limits = self.workflow.limits
         n = len(requests)
         _run_hooks(policy, requests, "begin_request")
         ids, arrivals, slos, concurrencies = _request_columns(requests)
-        num_stages = len(chain)
-        sizes = np.empty((n, num_stages), dtype=np.int64)
-        starts = np.empty((n, num_stages), dtype=np.float64)
-        ends = np.empty((n, num_stages), dtype=np.float64)
-        elapsed = np.zeros(n, dtype=np.float64)
-        for j, fname in enumerate(chain):
+        sizes = np.empty((n, len(nodes)), dtype=np.int64)
+        starts = np.empty((n, len(nodes)), dtype=np.float64)
+        ends = np.empty((n, len(nodes)), dtype=np.float64)
+        end_offsets: list[np.ndarray] = []
+        for j, fname in enumerate(nodes):
+            if preds[j]:
+                start_offset = functools.reduce(
+                    np.maximum, [end_offsets[p] for p in preds[j]]
+                )
+            else:
+                start_offset = np.zeros(n, dtype=np.float64)
             ks = np.asarray(
-                policy.sizes_for_node(fname, requests, elapsed), dtype=np.int64
+                policy.sizes_for_node(fname, requests, start_offset),
+                dtype=np.int64,
             )
             if self.clamp_sizes:
                 ks = limits.clamp_array(ks)
@@ -189,20 +154,24 @@ class AnalyticExecutor:
             exec_ms = self.workflow.model(fname).execution_times(
                 ks, worksets, noise_zs, interferences, concurrencies
             )
-            start = arrivals + elapsed
+            start = arrivals + start_offset
             sizes[:, j] = ks
             starts[:, j] = start
             ends[:, j] = start + exec_ms
-            elapsed = elapsed + exec_ms
+            end_offsets.append(start_offset + exec_ms)
         _run_hooks(policy, requests, "end_request")
+        is_path = all(p == ((j - 1,) if j else ()) for j, p in enumerate(preds))
         return OutcomeColumns(
             request_ids=ids,
             arrivals=arrivals,
             slos=slos,
-            functions=tuple(chain),
+            functions=nodes,
             sizes=sizes,
             starts=starts,
             ends=ends,
+            # Off a path, stages are reported in completion order; the
+            # stable sort keeps ties in walk order.
+            order=None if is_path else np.argsort(ends, axis=1, kind="stable"),
         )
 
     # -- public API --------------------------------------------------------
@@ -214,7 +183,11 @@ class AnalyticExecutor:
             raise ExperimentError("request stream is empty")
         policy.bind(self.workflow)
         if not policy.vector_safe:
-            outcomes = [self._serve_one(policy, r) for r in requests]
+            outcomes = [
+                outcome
+                for request in requests
+                for outcome in self._serve_batch(policy, [request]).to_outcomes()
+            ]
             return RunResult(
                 policy_name=policy.name,
                 outcomes=outcomes,
@@ -235,48 +208,37 @@ class AnalyticExecutor:
         """Serve a stream folding each outcome into streaming estimators.
 
         The bounded-memory path for very large ``n_requests``: requests are
-        served in fixed-size chunks through the batched core (O(chunk)
-        memory, vector throughput) and only the streaming aggregates
-        survive. Estimators consume per-request values in arrival order, so
-        the result is bit-identical to the per-request scalar fold. Latency
-        percentiles in the result are P² estimates (see
-        :mod:`repro.metrics.streaming`).
+        served in fixed-size chunks through the kernel (O(chunk) memory,
+        vector throughput; chunks of one for policies that are not
+        ``vector_safe``) and only the streaming aggregates survive.
+        Estimators consume per-request values in arrival order, so the
+        result does not depend on the chunk size. Latency percentiles in
+        the result are P² estimates (see :mod:`repro.metrics.streaming`).
         """
         if chunk_size < 1:
             raise ExperimentError(f"chunk_size must be >= 1, got {chunk_size}")
         policy.bind(self.workflow)
+        if not policy.vector_safe:
+            chunk_size = 1
         latency = StreamingSummary((50.0, 99.0))
         cost = StreamingMoments()
         slack = StreamingMoments()
         violations = 0
         n = 0
-        if policy.vector_safe:
-            iterator = iter(requests)
-            while True:
-                chunk = list(itertools.islice(iterator, chunk_size))
-                if not chunk:
-                    break
-                columns = self._serve_batch(policy, chunk)
-                mets = columns.slo_met().tolist()
-                for e2e, alloc, slk, met in zip(
-                    columns.e2e_ms().tolist(),
-                    columns.allocated().tolist(),
-                    columns.slacks().tolist(),
-                    mets,
-                ):
-                    latency.add(e2e)
-                    cost.add(alloc)
-                    slack.add(slk)
-                    violations += not met
-                n += len(chunk)
-        else:
-            for request in requests:
-                outcome = self._serve_one(policy, request)
-                latency.add(outcome.e2e_ms)
-                cost.add(outcome.allocated_millicores)
-                slack.add(outcome.slack)
-                violations += not outcome.slo_met
-                n += 1
+        iterator = iter(requests)
+        while chunk := list(itertools.islice(iterator, chunk_size)):
+            columns = self._serve_batch(policy, chunk)
+            for e2e, alloc, slk, met in zip(
+                columns.e2e_ms().tolist(),
+                columns.allocated().tolist(),
+                columns.slacks().tolist(),
+                columns.slo_met().tolist(),
+            ):
+                latency.add(e2e)
+                cost.add(alloc)
+                slack.add(slk)
+                violations += not met
+            n += len(chunk)
         if n == 0:
             raise ExperimentError("request stream is empty")
         return StreamingRunResult(

@@ -34,19 +34,19 @@ def collect_policy_extras(policy: _t.Any) -> dict[str, _t.Any]:
 
 @dataclass
 class OutcomeColumns:
-    """Column-wise stage records for one served batch (the batched
-    executors' native output format).
+    """Column-wise stage records for one served batch (the analytic
+    kernel's native output format).
 
-    ``functions`` holds the node names in execution (chain/topological)
-    order, shared by every row; the stage axis of the 2-D arrays follows
-    it. ``order`` is the per-request stable argsort of ``ends`` for DAG
-    executors (whose scalar reference sorts stages by completion time);
-    ``None`` for chains, where execution order *is* completion order.
+    ``functions`` holds the node names in walk (chain/topological) order,
+    shared by every row; the stage axis of the 2-D arrays follows it.
+    ``order`` is the per-request stable argsort of ``ends`` when the walk
+    branches (stages are reported in completion order); ``None`` for a
+    path, where walk order *is* completion order.
 
     Every derived metric reproduces the corresponding
     :class:`~repro.workflow.request.RequestOutcome` property bit-exactly:
-    float reductions accumulate sequentially in the scalar path's stage
-    order instead of using pairwise ``np.sum``.
+    float reductions accumulate sequentially in reported stage order
+    instead of using pairwise ``np.sum``.
     """
 
     request_ids: np.ndarray  # int64[n]
@@ -83,7 +83,7 @@ class OutcomeColumns:
 
     def millicore_ms(self) -> np.ndarray:
         """Per-request resource-time product, accumulated sequentially in
-        the scalar path's stage order (completion order for DAGs)."""
+        reported stage order (completion order for DAGs)."""
         sizes, starts, ends = self.sizes, self.starts, self.ends
         if self.order is not None:
             sizes = np.take_along_axis(sizes, self.order, axis=1)
@@ -98,8 +98,7 @@ class OutcomeColumns:
         """Materialise row-wise :class:`RequestOutcome` records.
 
         ``.tolist()`` hands exact Python floats/ints to the records, so the
-        materialised objects equal the scalar executor's output field by
-        field.
+        materialised objects equal a scalar walk's output field by field.
         """
         ids = self.request_ids.tolist()
         arrivals = self.arrivals.tolist()

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import heapq
+import operator
 import os
 import time
 import typing as _t
@@ -132,8 +133,8 @@ def iter_scenario_requests(
     :func:`merge_tenant_streams` sorts by, which coincides with a stable
     merge because each tenant stream is already arrival-ordered.
     """
-    def tenant_stream(tenant: int) -> _t.Iterator[WorkflowRequest]:
-        return iter_requests(
+    streams = [
+        iter_requests(
             workflow,
             WorkloadConfig(
                 n_requests=scenario.n_requests,
@@ -142,19 +143,16 @@ def iter_scenario_requests(
             ),
             seed=child_seed(scenario.seed, "tenant", str(tenant)),
         )
-
+        for tenant in range(scenario.tenants)
+    ]
     if scenario.tenants == 1:
-        yield from tenant_stream(0)
+        yield from streams[0]
         return
-    tagged = heapq.merge(
-        *(
-            ((req.arrival_ms, tenant, req.request_id, req) for req in stream)
-            for tenant, stream in (
-                (t, tenant_stream(t)) for t in range(scenario.tenants)
-            )
-        )
-    )
-    for i, (_, _, _, req) in enumerate(tagged):
+    # The key is the arrival alone: heapq.merge breaks ties by stream
+    # index (the tenant), then stream position (the request id), and never
+    # compares two requests.
+    merged = heapq.merge(*streams, key=operator.attrgetter("arrival_ms"))
+    for i, req in enumerate(merged):
         yield dataclasses.replace(req, request_id=i)
 
 
@@ -173,8 +171,8 @@ def _run_streaming_cell(
     if not hasattr(backend, "run_streaming"):
         raise ExperimentError(
             f"streaming cell {scenario.scenario_id}: executor "
-            f"{type(backend).__name__} has no streaming path (chain "
-            f"workflows on the analytic backend only)"
+            f"{type(backend).__name__} has no streaming path (the "
+            f"analytic backends only)"
         )
     results = {
         name: backend.run_streaming(

@@ -10,7 +10,7 @@ import repro
 from repro.api import ComparisonReport, Session
 from repro.errors import ExperimentError, PolicyError
 from repro.policies import POLICIES, PolicyRegistry, SizingPolicy
-from repro.policies.dag import DagJanusPolicy, DagSizingPolicy
+from repro.policies.dag import DagJanusPolicy
 from repro.policies.early_binding import FixedPlanPolicy
 from repro.profiling.profiler import profile_workflow
 from repro.runtime import (
@@ -200,8 +200,6 @@ class TestUnifiedSizingPolicy:
         req = generate_requests(small_workflow, WorkloadConfig(n_requests=1))[0]
         assert policy.size_for_node("F0", req, 0.0) == 1000
         assert policy.size_for_node("F2", req, 50.0) == 2000
-        # The historical index-keyed shim still answers identically.
-        assert policy.size_for_stage(2, req, 50.0) == 2000
 
     def test_unknown_node_rejected(self, small_workflow):
         policy = FixedPlanPolicy("fixed", [1000] * 3)
@@ -216,18 +214,6 @@ class TestUnifiedSizingPolicy:
         assert policy.stage_order is None
         with pytest.raises(PolicyError, match="no stage order bound"):
             policy.size_for_node("F0", req, 0.0)
-
-    def test_legacy_dag_policy_dispatches(self, small_workflow):
-        class LegacyDag(DagSizingPolicy):
-            name = "legacy"
-
-            def size_for_function(self, function, request, elapsed_ms):
-                return 1500
-
-        req = generate_requests(small_workflow, WorkloadConfig(n_requests=1))[0]
-        assert LegacyDag().size_for_node("F0", req, 0.0) == 1500
-        result = AnalyticExecutor(small_workflow).run(LegacyDag(), [req])
-        assert result.outcomes[0].stages[0].size == 1500
 
     def test_worstcase_serves_dag_branches(self, diamond_workflow):
         from repro.policies.early_binding import WorstCasePolicy
@@ -254,13 +240,13 @@ class TestUnifiedSizingPolicy:
         assert policy.stage_order == order  # same chain, freshly derived
         assert policy._bound_workflow is other
 
-    def test_policy_without_any_override_rejected(self, small_workflow):
+    def test_policy_without_any_override_rejected(self):
+        # size_for_node is the one abstract entry point.
         class Empty(SizingPolicy):
             name = "empty"
 
-        req = generate_requests(small_workflow, WorkloadConfig(n_requests=1))[0]
-        with pytest.raises(PolicyError, match="overrides none"):
-            Empty().size_for_node("F0", req, 0.0)
+        with pytest.raises(TypeError, match="size_for_node"):
+            Empty()
 
 
 class TestChainDagParity:
@@ -521,43 +507,35 @@ _SEED_PUBLIC_NAMES = [
     "profile_workflow", "save_profile_set", "load_profile_set",
     "BudgetRange", "HintSynthesizer", "SynthesisConfig", "HeadExploration",
     "WorkflowHints", "CondensedHintsTable", "synthesize_hints",
-    "DagWorkflowHints", "synthesize_dag_hints", "JanusAdapter",
-    "AdapterService", "HitMissSupervisor", "SizingPolicy", "JanusPolicy",
-    "janus", "janus_minus", "janus_plus", "OraclePolicy", "OrionPolicy",
-    "DagSizingPolicy", "DagJanusPolicy", "DagGrandSLAMPolicy",
-    "GrandSLAMPolicy", "GrandSLAMPlusPolicy", "AnalyticExecutor",
-    "DagAnalyticExecutor", "BatchingExecutor", "RunResult",
+    "JanusAdapter", "AdapterService", "HitMissSupervisor", "SizingPolicy",
+    "JanusPolicy", "janus", "janus_minus", "janus_plus", "OraclePolicy",
+    "OrionPolicy", "GrandSLAMPolicy", "GrandSLAMPlusPolicy",
+    "AnalyticExecutor", "BatchingExecutor", "RunResult",
     "build_policy_suite", "run_policies", "compare", "ServerlessPlatform",
     "MultiTenantPlatform", "TenantJob", "ClusterConfig", "InterferenceModel",
     "generate_requests", "WorkloadConfig", "ResourceLimits", "PercentileGrid",
 ]
 
 
+#: Top-level aliases deprecated in 1.1.0 and removed in 1.3.0.
+_REMOVED_ALIASES = [
+    "DagAnalyticExecutor", "DagSizingPolicy", "DagJanusPolicy",
+    "DagGrandSLAMPolicy", "DagWorkflowHints", "synthesize_dag_hints",
+]
+
+
 class TestBackwardCompatibility:
     def test_all_seed_imports_resolve(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for name in _SEED_PUBLIC_NAMES:
-                assert getattr(repro, name) is not None, name
+        for name in _SEED_PUBLIC_NAMES:
+            assert getattr(repro, name) is not None, name
 
-    @pytest.mark.parametrize(
-        "name,canonical",
-        [
-            ("DagAnalyticExecutor", "repro.runtime.dag_executor"),
-            ("DagSizingPolicy", "repro.policies.dag"),
-            ("DagJanusPolicy", "repro.policies.dag"),
-            ("DagGrandSLAMPolicy", "repro.policies.dag"),
-            ("DagWorkflowHints", "repro.synthesis.dag"),
-            ("synthesize_dag_hints", "repro.synthesis.dag"),
-        ],
-    )
-    def test_deprecated_aliases_warn_and_resolve(self, name, canonical):
-        import importlib
-
-        module = importlib.import_module(canonical)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            alias = getattr(repro, name)
-        assert alias is getattr(module, name)
+    def test_alias_access_raises_under_suite_warning_policy(self):
+        # The 1.1.0 top-level Dag* aliases were removed in 1.3.0: access
+        # raises instead of warning. The canonical classes stay importable
+        # from their submodules.
+        for name in _REMOVED_ALIASES:
+            with pytest.raises(AttributeError, match=name):
+                getattr(repro, name)
 
     def test_canonical_submodule_imports_stay_silent(self):
         with warnings.catch_warnings():
@@ -566,28 +544,12 @@ class TestBackwardCompatibility:
             from repro.synthesis.dag import synthesize_dag_hints  # noqa: F401
 
     def test_star_import_stays_warning_free(self):
-        # Deprecated aliases live outside __all__, so `from repro import *`
-        # must not trip warnings-as-errors configurations.
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             namespace: dict = {}
             exec("from repro import *", namespace)
         assert "Session" in namespace
         assert "DagAnalyticExecutor" not in namespace
-
-    def test_alias_access_raises_under_suite_warning_policy(self):
-        # pyproject escalates the package's own DeprecationWarnings to
-        # errors suite-wide: plain alias access must raise, not warn.
-        with pytest.raises(DeprecationWarning, match="deprecated"):
-            repro.DagJanusPolicy
-
-    def test_deprecated_aliases_fixture_restores_warning(self, deprecated_aliases):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", DeprecationWarning)
-            assert repro.DagJanusPolicy is not None
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
 
     def test_registry_exploration_override_rejected(
         self, small_workflow, small_profiles

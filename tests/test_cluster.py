@@ -742,7 +742,7 @@ class TestSaturation:
         platform = ServerlessPlatform(wf)
 
         class ExplodingPolicy(FixedPlanPolicy):
-            def size_for_stage(self, stage_index, request, elapsed_ms):
+            def size_for_node(self, node, request, elapsed_ms):
                 raise RuntimeError("policy exploded")
 
         requests = generate_requests(wf, WorkloadConfig(n_requests=2), seed=1)

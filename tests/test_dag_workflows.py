@@ -225,7 +225,7 @@ class TestDagExecutor:
             "fixed", {n: 2000 for n in diamond_workflow.dag.nodes}
         )
         executor = DagAnalyticExecutor(diamond_workflow)
-        outcome = executor.run_request(policy, diamond_requests[0])
+        outcome = executor.run(policy, diamond_requests[:1]).outcomes[0]
         by_name = outcome.stage_map()
         # B and C both start when A ends.
         assert by_name["B"].start_ms == pytest.approx(by_name["A"].end_ms)
@@ -239,9 +239,9 @@ class TestDagExecutor:
         policy = DagFixedPolicy(
             "fixed", {n: 2000 for n in diamond_workflow.dag.nodes}
         )
-        outcome = DagAnalyticExecutor(diamond_workflow).run_request(
-            policy, diamond_requests[0]
-        )
+        outcome = DagAnalyticExecutor(diamond_workflow).run(
+            policy, diamond_requests[:1]
+        ).outcomes[0]
         by_name = outcome.stage_map()
         assert outcome.e2e_ms == pytest.approx(
             by_name["D"].end_ms - outcome.arrival_ms
@@ -252,8 +252,8 @@ class TestDagExecutor:
     def test_missing_plan_entry_rejected(self, diamond_workflow, diamond_requests):
         policy = DagFixedPolicy("partial", {"A": 1000})
         with pytest.raises(PolicyError):
-            DagAnalyticExecutor(diamond_workflow).run_request(
-                policy, diamond_requests[0]
+            DagAnalyticExecutor(diamond_workflow).run(
+                policy, diamond_requests[:1]
             )
 
     def test_empty_stream_rejected(self, diamond_workflow):

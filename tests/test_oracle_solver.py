@@ -37,7 +37,8 @@ from repro.runtime.driver import build_policy_suite
 from repro.runtime.executor import AnalyticExecutor
 from repro.runtime.registry import get_executor
 from repro.traces.workload import WorkloadConfig, generate_requests
-from tests.conftest import tiny_percentiles
+from tests.conftest import make_chain_workflow, tiny_percentiles
+from tests.executor_reference import reference_outcomes
 from tests.oracle_reference import budget_dp_plan, reference_plan
 
 
@@ -175,8 +176,9 @@ class TestOracleLazyBatch:
         )
         executor = AnalyticExecutor(small_workflow)
         batched = executor.run(OraclePolicy(small_workflow), requests)
-        scalar_policy = OraclePolicy(small_workflow)
-        scalar = [executor.run_request(scalar_policy, r) for r in requests]
+        scalar = reference_outcomes(
+            small_workflow, OraclePolicy(small_workflow), requests
+        )
         assert _stage_sizes(batched) == {
             o.request_id: [s.size for s in o.stages] for o in scalar
         }
@@ -198,7 +200,7 @@ class TestOracleLazyBatch:
         oracle = OraclePolicy(small_workflow)
         oracle.begin_request(requests[0])
         with pytest.raises(PolicyError, match="begin_request not called"):
-            oracle.size_for_stage(0, requests[1], 0.0)
+            oracle.size_for_node("F0", requests[1], 0.0)
         with pytest.raises(PolicyError, match="begin_request not called"):
             oracle.sizes_for_node("F0", requests, np.zeros(2))
 
@@ -207,9 +209,12 @@ class TestOracleLazyBatch:
             small_workflow, WorkloadConfig(n_requests=1), seed=1
         )[0]
         oracle = OraclePolicy(small_workflow)
+        # Bound to a longer chain, the oracle is asked for a stage its plan
+        # does not have.
+        oracle.bind(make_chain_workflow(n=4))
         oracle.begin_request(request)
         with pytest.raises(PolicyError, match="out of range"):
-            oracle.size_for_stage(3, request, 0.0)
+            oracle.size_for_node("F3", request, 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_interleaved_hooks_give_reference_plans(self, small_workflow, seed):
@@ -232,7 +237,8 @@ class TestOracleLazyBatch:
             rid = list(active)[rng.integers(len(active))]
             sizes = active[rid]
             if len(sizes) < n:
-                sizes.append(oracle.size_for_stage(len(sizes), by_id[rid], 0.0))
+                node = wf.chain[len(sizes)]
+                sizes.append(oracle.size_for_node(node, by_id[rid], 0.0))
             else:
                 oracle.end_request(by_id[rid])
                 done[rid] = active.pop(rid)

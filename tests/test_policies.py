@@ -26,15 +26,17 @@ def requests_small(request):
 class TestFixedPlan:
     def test_constant_sizes(self, small_workflow, requests_small):
         policy = FixedPlanPolicy("fixed", [1000, 2000, 3000])
+        policy.bind(small_workflow)
         req = requests_small[0]
-        assert policy.size_for_stage(0, req, 0.0) == 1000
-        assert policy.size_for_stage(2, req, 500.0) == 3000
+        assert policy.size_for_node("F0", req, 0.0) == 1000
+        assert policy.size_for_node("F2", req, 500.0) == 3000
         assert policy.total_millicores == 6000
 
-    def test_out_of_range_stage(self, requests_small):
+    def test_out_of_range_stage(self, small_workflow, requests_small):
         policy = FixedPlanPolicy("fixed", [1000])
-        with pytest.raises(PolicyError):
-            policy.size_for_stage(1, requests_small[0], 0.0)
+        policy.bind(small_workflow)
+        with pytest.raises(PolicyError, match="outside plan"):
+            policy.size_for_node("F1", requests_small[0], 0.0)
 
     def test_validation(self):
         with pytest.raises(PolicyError):
@@ -153,8 +155,8 @@ class TestOracle:
         req = requests_small[0]
         oracle.begin_request(req)
         elapsed = 0.0
-        for i, fname in enumerate(small_workflow.chain):
-            k = oracle.size_for_stage(i, req, elapsed)
+        for fname in small_workflow.chain:
+            k = oracle.size_for_node(fname, req, elapsed)
             elapsed += small_workflow.model(fname).execution_time(
                 k, req.dynamics_for(fname)
             )
@@ -164,7 +166,7 @@ class TestOracle:
     def test_requires_begin_request(self, small_workflow, requests_small):
         oracle = OraclePolicy(small_workflow)
         with pytest.raises(PolicyError):
-            oracle.size_for_stage(0, requests_small[0], 0.0)
+            oracle.size_for_node("F0", requests_small[0], 0.0)
 
     def test_end_request_clears_state(self, small_workflow, requests_small):
         oracle = OraclePolicy(small_workflow)
@@ -172,7 +174,7 @@ class TestOracle:
         oracle.begin_request(req)
         oracle.end_request(req)
         with pytest.raises(PolicyError):
-            oracle.size_for_stage(0, req, 0.0)
+            oracle.size_for_node("F0", req, 0.0)
 
 
 class TestJanusFamily:

@@ -10,10 +10,11 @@ from repro.errors import PolicyError
 from repro.policies.dag import DagFixedPolicy
 from repro.runtime.dag_executor import DagAnalyticExecutor
 from repro.synthesis.dag import downstream_chain
-from repro.traces.workload import WorkloadConfig, generate_requests
+from repro.traces.workload import ArrivalSpec, WorkloadConfig, generate_requests
 from repro.workflow.catalog import Workflow
 from repro.workflow.dag import WorkflowDAG
 from tests.conftest import make_function, small_limits
+from tests.executor_reference import reference_outcomes
 
 
 @st.composite
@@ -100,7 +101,7 @@ class TestDagExecutorProperties:
         wf = self._workflow(dag)
         request = generate_requests(wf, WorkloadConfig(n_requests=1), seed=3)[0]
         policy = DagFixedPolicy("f", {n: 1500 for n in dag.nodes})
-        outcome = DagAnalyticExecutor(wf).run_request(policy, request)
+        outcome = DagAnalyticExecutor(wf).run(policy, [request]).outcomes[0]
         by_name = outcome.stage_map()
         for u, v in dag.edges:
             assert by_name[v].start_ms >= by_name[u].end_ms - 1e-9
@@ -111,7 +112,7 @@ class TestDagExecutorProperties:
         wf = self._workflow(dag)
         request = generate_requests(wf, WorkloadConfig(n_requests=1), seed=5)[0]
         policy = DagFixedPolicy("f", {n: 2000 for n in dag.nodes})
-        outcome = DagAnalyticExecutor(wf).run_request(policy, request)
+        outcome = DagAnalyticExecutor(wf).run(policy, [request]).outcomes[0]
         by_name = outcome.stage_map()
         latest_sink = max(by_name[s].end_ms for s in dag.sinks())
         assert outcome.e2e_ms == pytest.approx(
@@ -124,10 +125,36 @@ class TestDagExecutorProperties:
         wf = self._workflow(dag)
         request = generate_requests(wf, WorkloadConfig(n_requests=1), seed=7)[0]
         executor = DagAnalyticExecutor(wf)
-        slow = executor.run_request(
-            DagFixedPolicy("s", {n: 1000 for n in dag.nodes}), request
-        )
-        fast = executor.run_request(
-            DagFixedPolicy("b", {n: 3000 for n in dag.nodes}), request
-        )
+        slow = executor.run(
+            DagFixedPolicy("s", {n: 1000 for n in dag.nodes}), [request]
+        ).outcomes[0]
+        fast = executor.run(
+            DagFixedPolicy("b", {n: 3000 for n in dag.nodes}), [request]
+        ).outcomes[0]
         assert fast.e2e_ms <= slow.e2e_ms + 1e-9
+
+    @given(
+        layered_dags(),
+        st.integers(min_value=1, max_value=20),
+        st.integers(min_value=0, max_value=2**20),
+        st.floats(min_value=0.5, max_value=500.0),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_kernel_matches_reference_walk(self, dag, n_requests, seed, rate):
+        wf = self._workflow(dag)
+        requests = generate_requests(
+            wf,
+            WorkloadConfig(
+                n_requests=n_requests,
+                arrival=ArrivalSpec("poisson", rate_per_s=rate),
+            ),
+            seed=seed,
+        )
+        grid = wf.limits.grid()
+        plan = {n: int(grid[i % len(grid)]) for i, n in enumerate(dag.nodes)}
+        got = DagAnalyticExecutor(wf).run(DagFixedPolicy("f", plan), requests)
+        want = reference_outcomes(
+            wf, DagFixedPolicy("f", plan), requests, dag=True
+        )
+        # Float-exact, including each request's completion order.
+        assert got.outcomes == want

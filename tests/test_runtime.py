@@ -22,7 +22,7 @@ class TestAnalyticExecutor:
     def test_outcome_bookkeeping(self, small_workflow, requests_small):
         policy = FixedPlanPolicy("fixed", [2000, 2000, 2000])
         executor = AnalyticExecutor(small_workflow)
-        outcome = executor.run_request(policy, requests_small[0])
+        outcome = executor.run(policy, requests_small[:1]).outcomes[0]
         assert len(outcome.stages) == 3
         assert outcome.allocated_millicores == 6000
         # Stages are back-to-back.
@@ -53,7 +53,7 @@ class TestAnalyticExecutor:
     def test_off_grid_size_clamped(self, small_workflow, requests_small):
         policy = FixedPlanPolicy("odd", [1234, 1234, 1234])
         executor = AnalyticExecutor(small_workflow)
-        outcome = executor.run_request(policy, requests_small[0])
+        outcome = executor.run(policy, requests_small[:1]).outcomes[0]
         assert all(
             small_workflow.limits.contains(s.size) for s in outcome.stages
         )
@@ -64,7 +64,7 @@ class TestAnalyticExecutor:
         policy = FixedPlanPolicy("odd", [1234, 1234, 1234])
         executor = AnalyticExecutor(small_workflow, clamp_sizes=False)
         with pytest.raises(ExperimentError):
-            executor.run_request(policy, requests_small[0])
+            executor.run(policy, requests_small[:1])
 
     def test_empty_stream_rejected(self, small_workflow):
         with pytest.raises(ExperimentError):

@@ -1448,30 +1448,37 @@ class TestStreamingCells:
     def test_table_matches_exact_cell_closely(self):
         import dataclasses
 
-        streaming_cell = self.MATRIX.expand()[0]
-        exact_cell = dataclasses.replace(streaming_cell, streaming=False)
-        s_result = run_scenario(streaming_cell)
-        e_result = run_scenario(exact_cell)
-        s_table, e_table = s_result.table, e_result.table
-        assert set(s_table) == set(e_table)
-        for policy in s_table:
-            s_row, e_row = s_table[policy], e_table[policy]
-            # Means are exact aggregates: identical stream, identical math.
-            assert s_row["mean_allocated_millicores"] == pytest.approx(
-                e_row["mean_allocated_millicores"], rel=1e-12
-            )
-            assert s_row["violation_rate"] == pytest.approx(
-                e_row["violation_rate"]
-            )
-            # Percentiles are P2 estimates; tight but not exact.
-            assert s_row["p50_e2e_ms"] == pytest.approx(
-                e_row["p50_e2e_ms"], rel=0.05
-            )
-        # Policy extras still carried, matching the exact path.
-        assert "hit_rate" in s_result.extras["Janus"]
-        assert s_result.extras["Janus"]["hit_rate"] == pytest.approx(
-            e_result.extras["Janus"]["hit_rate"]
+        # The IA chain, and the branching media DAG on the "dag" backend.
+        dag_cell = dataclasses.replace(
+            self.MATRIX.expand()[0], workflow="media",
+            policies=("GrandSLAM", "Janus"),
         )
+        for streaming_cell in (self.MATRIX.expand()[0], dag_cell):
+            exact_cell = dataclasses.replace(streaming_cell, streaming=False)
+            s_result = run_scenario(streaming_cell)
+            e_result = run_scenario(exact_cell)
+            assert s_result.executor == e_result.executor + "[streaming]"
+            s_table, e_table = s_result.table, e_result.table
+            assert set(s_table) == set(e_table)
+            for policy in s_table:
+                s_row, e_row = s_table[policy], e_table[policy]
+                # Means are exact aggregates: identical stream, identical
+                # math.
+                assert s_row["mean_allocated_millicores"] == pytest.approx(
+                    e_row["mean_allocated_millicores"], rel=1e-12
+                )
+                assert s_row["violation_rate"] == pytest.approx(
+                    e_row["violation_rate"]
+                )
+                # Percentiles are P2 estimates; tight but not exact.
+                assert s_row["p50_e2e_ms"] == pytest.approx(
+                    e_row["p50_e2e_ms"], rel=0.05
+                )
+            # Policy extras still carried, matching the exact path.
+            assert "hit_rate" in s_result.extras["Janus"]
+            assert s_result.extras["Janus"]["hit_rate"] == pytest.approx(
+                e_result.extras["Janus"]["hit_rate"]
+            )
 
     def test_lazy_merge_equals_eager_merge(self):
         from repro.scenarios.registry import scenario_workflow
@@ -1480,18 +1487,26 @@ class TestStreamingCells:
             scenario_requests,
         )
 
-        cell = next(
-            c for c in self.MATRIX.expand() if c.tenants == 2
-        )
-        workflow = scenario_workflow(cell.workflow)
-        slo_ms = workflow.slo_ms * cell.slo_scale
-        lazy = list(iter_scenario_requests(workflow, cell, slo_ms))
-        eager = scenario_requests(workflow, cell, slo_ms)
-        assert len(lazy) == len(eager) == 240
-        for a, b in zip(lazy, eager):
-            assert a.request_id == b.request_id
-            assert a.arrival_ms == b.arrival_ms
-            assert a.stage_dynamics == b.stage_dynamics
+        import dataclasses
+
+        base = next(c for c in self.MATRIX.expand() if c.tenants == 2)
+        workflow = scenario_workflow(base.workflow)
+        slo_ms = workflow.slo_ms * base.slo_scale
+        # Constant arrivals tie across every tenant at every instant, so
+        # the merge must order them without comparing requests.
+        for arrival in (ArrivalSpec("poisson", rate_per_s=20.0),
+                        ArrivalSpec("constant")):
+            for tenants in (2, 3):
+                cell = dataclasses.replace(
+                    base, arrival=arrival, tenants=tenants
+                )
+                lazy = list(iter_scenario_requests(workflow, cell, slo_ms))
+                eager = scenario_requests(workflow, cell, slo_ms)
+                assert len(lazy) == len(eager) == 120 * tenants
+                for a, b in zip(lazy, eager):
+                    assert a.request_id == b.request_id
+                    assert a.arrival_ms == b.arrival_ms
+                    assert a.stage_dynamics == b.stage_dynamics
 
     def test_streaming_requires_analytic_executor(self):
         with pytest.raises(ExperimentError, match="streaming"):
@@ -1500,3 +1515,9 @@ class TestStreamingCells:
                 executors=("cluster",), streaming=True,
                 n_requests=10, samples=300,
             )
+        # Both analytic backends have a streaming path.
+        ScenarioMatrix(
+            workflows=("media",), policies=("Janus",),
+            executors=(None, "analytic", "dag"), streaming=True,
+            n_requests=10, samples=300,
+        )

@@ -1,14 +1,14 @@
-"""The batched analytic path is bit-identical to the scalar reference.
+"""The batched analytic kernel is bit-identical to the scalar reference.
 
-The vectorised executors (``AnalyticExecutor._serve_batch``,
-``DagAnalyticExecutor._serve_batch``) and every array kernel feeding them
-(model evaluation, grid clamping, hint lookups, supervisor accounting) are
-pure-speedup refactors: each element must equal the retained scalar path to
-the last bit, not approximately. This suite pins that contract with
-hypothesis property tests over random workflows/policies/streams, plus
-direct tests for the new array paths (streaming chunk boundaries, the
-non-vector-policy fallback loop, clamp/off-grid error handling under
-batching).
+The one kernel both analytic executors run (``AnalyticExecutor._serve_batch``,
+walked over the chain or, in ``DagAnalyticExecutor``, the full graph) and
+every array kernel feeding it (model evaluation, grid clamping, hint
+lookups, supervisor accounting) must equal the scalar reference walk in
+``tests/executor_reference.py`` to the last bit, not approximately. This
+suite pins that contract with hypothesis property tests over random
+workflows/policies/Poisson-arrival streams, plus direct tests for the array
+paths (streaming chunk boundaries, one-request batches for policies that
+are not ``vector_safe``, clamp/off-grid error handling under batching).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.runtime.executor import AnalyticExecutor
 from repro.runtime.results import ColumnarRunResult, RunResult
 from repro.synthesis.dag import synthesize_dag_hints
 from repro.synthesis.hints import CondensedHintsTable
-from repro.traces.workload import WorkloadConfig, generate_requests
+from repro.traces.workload import ArrivalSpec, WorkloadConfig, generate_requests
 from repro.types import ResourceLimits
 from repro.workflow.catalog import Workflow
 from repro.workflow.dag import WorkflowDAG
@@ -44,6 +44,19 @@ from tests.conftest import (
     small_limits,
     tiny_percentiles,
 )
+from tests.executor_reference import reference_outcomes
+
+
+def poisson_requests(workflow, n_requests, seed, rate_per_s):
+    """A stream with Poisson arrivals, so arrival offsets enter the sums."""
+    return generate_requests(
+        workflow,
+        WorkloadConfig(
+            n_requests=n_requests,
+            arrival=ArrivalSpec("poisson", rate_per_s=rate_per_s),
+        ),
+        seed=seed,
+    )
 
 
 def assert_outcomes_identical(got, want):
@@ -62,14 +75,20 @@ def assert_outcomes_identical(got, want):
 
 
 def assert_run_identical(executor, make_policy, requests):
-    """Batched ``run`` equals a scalar ``run_request`` replay.
+    """Batched ``run`` equals the scalar reference walk.
 
     ``make_policy`` builds a fresh instance per path so stateful policies
     (adapter counters, oracle plan caches) start from the same state.
     """
     result = executor.run(make_policy(), requests)
     scalar_policy = make_policy()
-    reference = [executor.run_request(scalar_policy, r) for r in requests]
+    reference = reference_outcomes(
+        executor.workflow,
+        scalar_policy,
+        requests,
+        dag=isinstance(executor, DagAnalyticExecutor),
+        clamp_sizes=executor.clamp_sizes,
+    )
     assert_outcomes_identical(result.outcomes, reference)
     ref = RunResult(policy_name=scalar_policy.name, outcomes=reference)
     assert np.array_equal(result.e2e_ms(), ref.e2e_ms())
@@ -114,12 +133,11 @@ class TestChainBitIdentity:
         n_requests=st.integers(min_value=1, max_value=40),
         seed=st.integers(min_value=0, max_value=2**20),
         kind=st.sampled_from(["fixed", "worst", "ramp"]),
+        rate_per_s=st.floats(min_value=0.5, max_value=500.0),
     )
-    def test_random_streams(self, n_stages, n_requests, seed, kind):
+    def test_random_streams(self, n_stages, n_requests, seed, kind, rate_per_s):
         wf = make_chain_workflow(n=n_stages)
-        requests = generate_requests(
-            wf, WorkloadConfig(n_requests=n_requests), seed=seed
-        )
+        requests = poisson_requests(wf, n_requests, seed, rate_per_s)
         rng = np.random.default_rng(seed)
         if kind == "fixed":
             plan = [int(k) for k in rng.choice(wf.limits.grid(), n_stages)]
@@ -136,9 +154,7 @@ class TestChainBitIdentity:
         assert isinstance(result, ColumnarRunResult)
 
     def test_janus_policy(self, small_workflow, small_profiles, small_budget):
-        requests = generate_requests(
-            small_workflow, WorkloadConfig(n_requests=80), seed=3
-        )
+        requests = poisson_requests(small_workflow, 80, 3, 20.0)
         assert_run_identical(
             AnalyticExecutor(small_workflow),
             lambda: janus(small_workflow, small_profiles, budget=small_budget),
@@ -146,9 +162,7 @@ class TestChainBitIdentity:
         )
 
     def test_oracle_policy(self, small_workflow):
-        requests = generate_requests(
-            small_workflow, WorkloadConfig(n_requests=40), seed=8
-        )
+        requests = poisson_requests(small_workflow, 40, 8, 20.0)
         assert_run_identical(
             AnalyticExecutor(small_workflow),
             lambda: OraclePolicy(small_workflow),
@@ -166,7 +180,7 @@ class TestChainBitIdentity:
 
     def test_clamp_snaps_like_scalar(self):
         wf = make_chain_workflow(n=2)
-        requests = generate_requests(wf, WorkloadConfig(n_requests=12), seed=2)
+        requests = poisson_requests(wf, 12, 2, 20.0)
         assert_run_identical(AnalyticExecutor(wf), OffGridPolicy, requests)
 
     def test_empty_stream_rejected(self):
@@ -178,7 +192,7 @@ class TestChainBitIdentity:
 class TestVectorSafeFallback:
     def test_vector_unsafe_policy_takes_scalar_path(self):
         wf = make_chain_workflow(n=2)
-        requests = generate_requests(wf, WorkloadConfig(n_requests=10), seed=4)
+        requests = poisson_requests(wf, 10, 4, 20.0)
 
         calls = []
 
@@ -191,12 +205,18 @@ class TestVectorSafeFallback:
 
         policy = OrderSensitive(wf.limits, wf.slo_ms)
         result = AnalyticExecutor(wf).run(policy, requests)
-        assert type(result) is RunResult  # scalar path, not columnar
+        assert type(result) is RunResult  # one-request batches, not columnar
         # Request-major order preserved: both stages of request i precede
         # any stage of request i+1.
         assert calls == [
             (r.request_id, f) for r in requests for f in wf.chain
         ]
+        assert_outcomes_identical(
+            result.outcomes,
+            reference_outcomes(
+                wf, ElapsedRampPolicy(wf.limits, wf.slo_ms), requests
+            ),
+        )
 
     def test_base_fallback_loops_scalar_method(self):
         wf = make_chain_workflow(n=2)
@@ -276,12 +296,13 @@ class TestDagBitIdentity:
     @given(
         n_requests=st.integers(min_value=1, max_value=30),
         seed=st.integers(min_value=0, max_value=2**20),
+        rate_per_s=st.floats(min_value=0.5, max_value=500.0),
     )
-    def test_fixed_plan_random_streams(self, diamond_workflow, n_requests, seed):
+    def test_fixed_plan_random_streams(
+        self, diamond_workflow, n_requests, seed, rate_per_s
+    ):
         wf = diamond_workflow
-        requests = generate_requests(
-            wf, WorkloadConfig(n_requests=n_requests), seed=seed
-        )
+        requests = poisson_requests(wf, n_requests, seed, rate_per_s)
         rng = np.random.default_rng(seed)
         plan = {n: int(rng.choice(wf.limits.grid())) for n in wf.dag.nodes}
         result = assert_run_identical(
@@ -303,7 +324,7 @@ class TestDagBitIdentity:
             for name in wf.dag.nodes
         })
         hints = synthesize_dag_hints(wf, profiles)
-        requests = generate_requests(wf, WorkloadConfig(n_requests=40), seed=9)
+        requests = poisson_requests(wf, 40, 9, 20.0)
         assert_run_identical(
             DagAnalyticExecutor(wf),
             lambda: DagJanusPolicy(wf, hints),
@@ -314,18 +335,22 @@ class TestDagBitIdentity:
         wf = diamond_workflow
         requests = generate_requests(wf, WorkloadConfig(n_requests=3), seed=10)
         executor = DagAnalyticExecutor(wf, clamp_sizes=False)
-        with pytest.raises(ExperimentError, match=r"size 1234 off-grid for A"):
+        with pytest.raises(
+            ExperimentError, match="size 1234 off-grid for stage A"
+        ):
             executor.run(OffGridPolicy(), requests)
 
     def test_vector_unsafe_policy_takes_scalar_path(self, diamond_workflow):
         wf = diamond_workflow
-        requests = generate_requests(wf, WorkloadConfig(n_requests=5), seed=11)
+        requests = poisson_requests(wf, 5, 11, 20.0)
 
         class UnsafeFixed(DagFixedPolicy):
             vector_safe = False
 
         plan = {n: wf.limits.kmax for n in wf.dag.nodes}
-        result = DagAnalyticExecutor(wf).run(UnsafeFixed("unsafe", plan), requests)
+        result = assert_run_identical(
+            DagAnalyticExecutor(wf), lambda: UnsafeFixed("unsafe", plan), requests
+        )
         assert type(result) is RunResult
 
 

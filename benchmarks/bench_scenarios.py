@@ -498,8 +498,15 @@ def test_streaming_metrics_throughput(benchmark):
 
 
 def test_serving_loop_throughput(benchmark, bench_samples):
-    """Requests/s through the full asyncio serving loop (unpaced)."""
+    """Requests/s through the serving loop (unpaced), against the
+    per-request asyncio loop it replaced.
+
+    ``tests/serving_reference.py`` keeps that loop as the specification;
+    its rate is recorded alongside, and both must end on the same
+    snapshot.
+    """
     from repro.serving import ServingConfig, run_service
+    from tests.serving_reference import run_reference_service
 
     config = ServingConfig(
         source=ArrivalSpec(kind="poisson", rate_per_s=200.0),
@@ -508,15 +515,21 @@ def test_serving_loop_throughput(benchmark, bench_samples):
         metrics_every=500,
     )
     report = run_once(benchmark, run_service, config)
+    reference = run_reference_service(config)
+    assert report.snapshot == reference.snapshot
     req_per_s = report.completed / report.wall_seconds
+    reference_per_s = reference.completed / reference.wall_seconds
     print(f"\nserving loop: {report.completed} requests in "
-          f"{report.wall_seconds:.2f} s ({req_per_s:,.0f} req/s)")
+          f"{report.wall_seconds:.2f} s ({req_per_s:,.0f} req/s), "
+          f"{reference_per_s:,.0f} req/s per-request reference "
+          f"({req_per_s / reference_per_s:.1f}x), identical snapshot")
     assert report.dropped == 0
     serving = dict(_RESULTS.get("serving", {}))
     serving.update({
         "loop_requests": report.completed,
         "loop_seconds": report.wall_seconds,
         "loop_requests_per_s": req_per_s,
+        "reference_requests_per_s": reference_per_s,
     })
     _RESULTS["serving"] = serving
     _write_results()

@@ -6,9 +6,9 @@ Usage::
 
 Compares the higher-is-better keys of the guarded sections (the DES
 kernel, the batched analytic executor, the Optimal oracle, the saturated
-DES cluster, the fabric scheduler and the fleet router) and exits non-zero
-when any current number falls more than ``JANUS_BENCH_TOLERANCE`` (default
-25%) below the committed baseline. Wall-time sections (sweeps, caches) are
+DES cluster, the fabric scheduler, the fleet router and the serving loop)
+and exits non-zero when any current number falls more than
+``JANUS_BENCH_TOLERANCE`` (default 25%) below the committed baseline. Wall-time sections (sweeps, caches) are
 deliberately not guarded: they track runner hardware more than code, and
 the bit-identity asserts inside the bench suite already cover their
 correctness.
@@ -43,6 +43,9 @@ GUARDED: dict[str, tuple[str, ...]] = {
     # behaviour change, not noise; the router rate guards the per-arrival
     # hot path shared by the batch evaluator and the serving loop.
     "fleet": ("routed_requests_per_s", "remote_fraction"),
+    # The always-on serving loop, unpaced: blocks served through the
+    # analytic kernel and replayed in wavefront order.
+    "serving": ("loop_requests_per_s",),
 }
 
 

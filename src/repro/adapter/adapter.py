@@ -14,7 +14,9 @@ horizontally scalable (§V-A implementation note).
 
 from __future__ import annotations
 
+import contextlib
 import time
+import typing as _t
 from dataclasses import dataclass
 
 import numpy as np  # noqa: F401  (annotations for the batched API)
@@ -58,6 +60,7 @@ class JanusAdapter:
         self.slo_ms = float(slo_ms)
         self.supervisor = supervisor or HitMissSupervisor()
         self._decision_latencies_ms: list[float] = []
+        self._captured: list[tuple[int, np.ndarray]] | None = None
 
     @property
     def num_stages(self) -> int:
@@ -103,12 +106,31 @@ class JanusAdapter:
         t0 = time.perf_counter()
         table = self.hints.table_for_stage(stage_index)
         sizes, hits = table.lookup_many(budgets_ms)
+        if self._captured is not None:
+            self._captured.append((stage_index, hits))
+            return sizes, hits
         latency_ms = (time.perf_counter() - t0) * 1e3
         n = int(sizes.size)
         if n:
             self._decision_latencies_ms.extend([latency_ms / n] * n)
             self.supervisor.record_many(hits)
         return sizes, hits
+
+    @contextlib.contextmanager
+    def detached(self) -> _t.Iterator[list[tuple[int, "np.ndarray"]]]:
+        """Look up without recording, for callers that account later.
+
+        Inside the block :meth:`decide_many` leaves the supervisor and the
+        latency log alone and appends ``(stage_index, hits)`` to the
+        yielded list instead, so the caller can replay the hits into the
+        supervisor in whatever order the lookups are deemed to happen.
+        """
+        captured: list[tuple[int, np.ndarray]] = []
+        self._captured = captured
+        try:
+            yield captured
+        finally:
+            self._captured = None
 
     def initial_decision(self) -> AdaptationDecision:
         """Decision for the first stage: the budget is the full SLO."""

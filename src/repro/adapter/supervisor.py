@@ -129,33 +129,86 @@ class HitMissSupervisor:
             for cb in self._callbacks:
                 cb(self)
 
-    def record_many(self, hits: "np.ndarray | _t.Sequence[bool]") -> None:
-        """Account a batch of lookups (vectorised executor hot path).
+    def record_many(
+        self, hits: "np.ndarray | _t.Sequence[bool]"
+    ) -> int | None:
+        """Account a batch of lookups exactly as :meth:`record` on each.
 
-        Windowed mode and registered callbacks need per-sample trigger
-        evaluation, so those fall back to the scalar loop. The cumulative
-        no-callback case bulk-updates the counters and still evaluates the
-        threshold at every prefix, so ``_notified`` flips exactly when the
-        scalar loop would have flipped it.
+        The counters, the window, ``_recent_misses`` and the notification
+        state equal the scalar loop's at every prefix: the threshold is
+        evaluated after every lookup (vectorised over the batch), and the
+        callbacks fire once, at the same lookup. Should a callback
+        :meth:`reset` the supervisor, accounting resumes from the next
+        lookup as it would in the scalar loop.
+
+        Returns the index into ``hits`` of the lookup at which the
+        supervisor notified (the first one, if it notified more than once),
+        or ``None``.
         """
-        if self._recent is not None or self._callbacks:
-            for h in hits:
-                self.record(bool(h))
-            return
         arr = np.asarray(hits, dtype=bool)
-        n = int(arr.size)
-        if n == 0:
-            return
-        misses = self.misses + np.cumsum(~arr)
-        totals = self.total + np.arange(1, n + 1)
-        self.hits += int(arr.sum())
-        self.misses = int(misses[-1])
-        if not self._notified:
-            crossed = (totals >= self.min_samples) & (
-                misses / totals > self.miss_threshold
+        fired: int | None = None
+        done = 0
+        while done < arr.size:
+            rest = arr[done:]
+            at = None if self._notified else self._first_crossing(rest)
+            self._account(rest if at is None else rest[: at + 1])
+            if at is None:
+                break
+            if fired is None:
+                fired = done + at
+            self._notified = True
+            for cb in self._callbacks:
+                cb(self)
+            done += at + 1
+        return fired
+
+    def _first_crossing(self, hits: np.ndarray) -> int | None:
+        """Index of the first lookup after which the trigger condition
+        holds, evaluated on every prefix without touching the state."""
+        missed = ~hits
+        if self._recent is None:
+            totals = self.total + np.arange(1, hits.size + 1)
+            misses = self.misses + np.cumsum(missed)
+        else:
+            # The window after lookup i is the last ``window`` entries of
+            # (current window + hits[: i + 1]).
+            prior = len(self._recent)
+            seq = np.concatenate(
+                [~np.fromiter(self._recent, dtype=bool, count=prior), missed]
             )
-            if bool(crossed.any()):
-                self._notified = True
+            cum = np.concatenate([[0], np.cumsum(seq)])
+            ends = prior + np.arange(1, hits.size + 1)
+            totals = np.minimum(ends, self.window)
+            misses = cum[ends] - cum[ends - totals]
+        crossed = (totals >= self.min_samples) & (
+            misses / totals > self.miss_threshold
+        )
+        return int(crossed.argmax()) if bool(crossed.any()) else None
+
+    def _account(self, hits: np.ndarray) -> None:
+        """Bulk counter and window update (no threshold evaluation)."""
+        n_hits = int(hits.sum())
+        self.hits += n_hits
+        self.misses += int(hits.size) - n_hits
+        if self._recent is not None:
+            self._recent.extend(hits[-self.window :].tolist())
+            self._recent_misses = len(self._recent) - sum(self._recent)
+
+    def save(self) -> tuple[_t.Any, ...]:
+        """The counters, window and notification state, for :meth:`restore`
+        (callbacks are not part of it)."""
+        recent = tuple(self._recent) if self._recent is not None else None
+        return (self.hits, self.misses, recent, self._recent_misses,
+                self._notified)
+
+    def restore(self, saved: tuple[_t.Any, ...]) -> None:
+        """Roll the state back to what :meth:`save` returned."""
+        self.hits, self.misses, recent, self._recent_misses, self._notified = (
+            saved
+        )
+        if self._recent is not None:
+            self._recent.clear()
+            self._recent.extend(recent)
 
     @property
     def should_regenerate(self) -> bool:

@@ -7,13 +7,15 @@ identical dynamics — the apples-to-apples comparison the paper's evaluation
 relies on.
 
 One batched kernel, :meth:`AnalyticExecutor._serve_batch`, serves every
-analytic run. It walks ``(nodes, predecessor indices)`` in execution order
-and evaluates each node across the *whole* batch with one vectorised policy
-lookup (:meth:`~repro.policies.base.SizingPolicy.sizes_for_node`) and one
-array latency-model evaluation. A node starts when its last predecessor
-ends (the elementwise maximum of their end offsets; zero for a root), so
-the same walk serves chains and branching DAGs; stage records are
-materialised column-wise (:class:`~repro.runtime.results.OutcomeColumns`).
+analytic run and the always-on serving loop (:mod:`repro.serving.loop`,
+which also resumes requests mid-walk). It walks ``(nodes, predecessor
+indices)`` in execution order and evaluates each node across the *whole*
+batch with one vectorised policy lookup (:meth:`~repro.policies.base.
+SizingPolicy.sizes_for_node`) and one array latency-model evaluation. A
+node starts when its last predecessor ends (the elementwise maximum of
+their end offsets; zero for a root), so the same walk serves chains and
+branching DAGs; stage records are materialised column-wise
+(:class:`~repro.runtime.results.OutcomeColumns`).
 Policies whose decisions depend on call interleaving across requests set
 ``vector_safe = False``: they run through the same kernel one request at a
 time, since a batch of one *is* request-major order. The scalar
@@ -111,25 +113,42 @@ class AnalyticExecutor:
 
     # -- the kernel --------------------------------------------------------
     def _serve_batch(
-        self, policy: SizingPolicy, requests: _t.Sequence[WorkflowRequest]
+        self,
+        policy: SizingPolicy,
+        requests: _t.Sequence[WorkflowRequest],
+        start: int = 0,
+        offsets: np.ndarray | None = None,
     ) -> OutcomeColumns:
         """Serve a batch node by node with vector policy/model evaluation.
 
         Assumes the policy is bound. Hooks fire begin-all / node-major /
         end-all; for ``vector_safe`` policies this is indistinguishable
         from request-major order, and a one-request batch *is* that order.
+
+        ``start`` and ``offsets`` resume a path walk: the batch has already
+        run nodes ``< start`` (so no begin hooks fire) and spent
+        ``offsets[i]`` ms of request ``i`` on them. The result covers
+        nodes ``start..`` only.
         """
         nodes, preds = self._walk()
+        is_path = all(p == ((j - 1,) if j else ()) for j, p in enumerate(preds))
+        if start and not is_path:
+            raise ExperimentError("only a path walk can resume mid-walk")
         limits = self.workflow.limits
         n = len(requests)
-        _run_hooks(policy, requests, "begin_request")
+        if not start:
+            _run_hooks(policy, requests, "begin_request")
         ids, arrivals, slos, concurrencies = _request_columns(requests)
-        sizes = np.empty((n, len(nodes)), dtype=np.int64)
-        starts = np.empty((n, len(nodes)), dtype=np.float64)
-        ends = np.empty((n, len(nodes)), dtype=np.float64)
-        end_offsets: list[np.ndarray] = []
-        for j, fname in enumerate(nodes):
-            if preds[j]:
+        width = len(nodes) - start
+        sizes = np.empty((n, width), dtype=np.int64)
+        start_offsets = np.empty((n, width), dtype=np.float64)
+        durations = np.empty((n, width), dtype=np.float64)
+        end_offsets: dict[int, np.ndarray] = {}
+        for j in range(start, len(nodes)):
+            fname = nodes[j]
+            if j == start and offsets is not None:
+                start_offset = np.asarray(offsets, dtype=np.float64)
+            elif j > start and preds[j]:
                 start_offset = functools.reduce(
                     np.maximum, [end_offsets[p] for p in preds[j]]
                 )
@@ -154,24 +173,21 @@ class AnalyticExecutor:
             exec_ms = self.workflow.model(fname).execution_times(
                 ks, worksets, noise_zs, interferences, concurrencies
             )
-            start = arrivals + start_offset
-            sizes[:, j] = ks
-            starts[:, j] = start
-            ends[:, j] = start + exec_ms
-            end_offsets.append(start_offset + exec_ms)
+            sizes[:, j - start] = ks
+            start_offsets[:, j - start] = start_offset
+            durations[:, j - start] = exec_ms
+            end_offsets[j] = start_offset + exec_ms
         _run_hooks(policy, requests, "end_request")
-        is_path = all(p == ((j - 1,) if j else ()) for j, p in enumerate(preds))
         return OutcomeColumns(
             request_ids=ids,
             arrivals=arrivals,
             slos=slos,
-            functions=nodes,
+            functions=nodes[start:],
             sizes=sizes,
-            starts=starts,
-            ends=ends,
-            # Off a path, stages are reported in completion order; the
-            # stable sort keeps ties in walk order.
-            order=None if is_path else np.argsort(ends, axis=1, kind="stable"),
+            offsets=start_offsets,
+            durations=durations,
+            # Off a path, stages are reported in completion order.
+            branched=not is_path,
         )
 
     # -- public API --------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import typing as _t
 from dataclasses import dataclass, field
 
@@ -38,10 +39,13 @@ class OutcomeColumns:
     kernel's native output format).
 
     ``functions`` holds the node names in walk (chain/topological) order,
-    shared by every row; the stage axis of the 2-D arrays follows it.
-    ``order`` is the per-request stable argsort of ``ends`` when the walk
-    branches (stages are reported in completion order); ``None`` for a
-    path, where walk order *is* completion order.
+    shared by every row; the stage axis of the 2-D arrays follows it. The
+    kernel's own quantities are stored: each stage's start ``offsets``
+    (time since arrival) and ``durations``; absolute ``starts``/``ends``
+    derive from them with the kernel's arithmetic (``arrival + offset``,
+    then ``+ duration``). When the walk branches, stages are reported in
+    completion order (:attr:`order`); on a path, walk order *is*
+    completion order.
 
     Every derived metric reproduces the corresponding
     :class:`~repro.workflow.request.RequestOutcome` property bit-exactly:
@@ -54,9 +58,27 @@ class OutcomeColumns:
     slos: np.ndarray  # float64[n]
     functions: tuple[str, ...]
     sizes: np.ndarray  # int64[n, S]
-    starts: np.ndarray  # float64[n, S]
-    ends: np.ndarray  # float64[n, S]
-    order: np.ndarray | None = None  # int64[n, S] argsort of ends, or None
+    offsets: np.ndarray  # float64[n, S]
+    durations: np.ndarray  # float64[n, S]
+    branched: bool = False
+
+    @functools.cached_property
+    def starts(self) -> np.ndarray:
+        """Absolute stage start times, ``float64[n, S]``."""
+        return self.arrivals[:, None] + self.offsets
+
+    @functools.cached_property
+    def ends(self) -> np.ndarray:
+        """Absolute stage end times, ``float64[n, S]``."""
+        return self.starts + self.durations
+
+    @functools.cached_property
+    def order(self) -> np.ndarray | None:
+        """Per-request stable argsort of :attr:`ends` for a branched walk
+        (ties keep walk order), ``None`` for a path."""
+        if not self.branched:
+            return None
+        return np.argsort(self.ends, axis=1, kind="stable")
 
     @property
     def n(self) -> int:

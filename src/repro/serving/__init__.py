@@ -9,10 +9,10 @@ package closes the loop into a long-running process:
   diurnal curve, trace replay with wrap-around, Poisson, ...).
 * :mod:`repro.serving.events` — a structured JSONL event log (arrivals,
   decisions, hot-swaps, snapshots) so runs are replayable and testable.
-* :mod:`repro.serving.loop` — the asyncio :class:`ServingLoop`: ingest,
-  size, record hit/miss, stream metrics at O(1) memory, and re-synthesize
-  hints when the windowed miss rate crosses the threshold — hot-swapping
-  tables without dropping in-flight requests.
+* :mod:`repro.serving.loop` — :class:`ServingLoop`: ingest, size through
+  the analytic kernel in blocks, record hit/miss, stream metrics at O(1)
+  memory, and re-synthesize hints when the windowed miss rate crosses the
+  threshold — hot-swapping tables without dropping in-flight requests.
 """
 
 from .events import EventLog, read_events

@@ -1,49 +1,72 @@
-"""The asyncio serving loop: ingest, size, observe, adapt.
+"""The always-on serving loop: ingest, size, observe, adapt.
 
-:class:`ServingLoop` is the live counterpart of :class:`~repro.runtime.
-executor.AnalyticExecutor.run`: the same per-stage sizing walk, but over
-an *unbounded* arrival stream, with bounded-memory metrics
-(:mod:`repro.metrics.streaming`) instead of retained outcome lists, and
-with the paper's §III-D regeneration loop running online — when the
-supervisor's sliding miss-rate window crosses the threshold, the loop
-re-profiles from its recent latency window, re-synthesizes hints (through
+:class:`ServingLoop` serves an *unbounded* arrival stream through the
+analytic kernel (:meth:`~repro.runtime.executor.AnalyticExecutor.
+_serve_batch`), with bounded-memory metrics (:mod:`repro.metrics.
+streaming`) instead of retained outcome lists, and with the paper's §III-D
+regeneration loop running online.
+
+**The order.** Requests interleave in a fixed wavefront. Each admitted
+request advances one stage per round: round ``n`` admits request ``n``,
+completes request ``n - L`` (``L`` is the chain length), then decides
+stage ``L-1, ..., 0`` of requests ``n-L+1, ..., n``. Once admissions stop,
+the rounds go on without them until every admitted request has completed,
+so none is dropped. Every decision is a hint lookup, and the adapter's
+supervisor accounts the lookups in this order.
+
+**Swap at the next completion.** When the supervisor's sliding miss-rate
+window crosses the threshold, the loop acts at the next completion: it
+re-profiles from its recent latency window, re-synthesises hints (through
 the :func:`~repro.synthesis.generator.synthesize_hints` disk memo) and
-hot-swaps the adapter's tables. The adapter is stateless per request, so
-in-flight requests finish against whichever tables their next stage
-finds — none are dropped.
+hot-swaps the adapter's tables. Every decision from that round on uses the
+new tables; requests in flight continue from their next stage.
 
-Scheduling is cooperative and deterministic: each request is an asyncio
-task that yields between stages, so requests interleave like a real
-service while a fixed seed and ``time_scale=0`` (no wall-clock pacing)
-replay bit-identically. ``time_scale > 0`` paces arrivals and stage
-executions against the wall clock (1.0 = real time, 60.0 = a minute of
-trace per second).
+**Blocks and rollback.** Nothing else couples requests, so the loop serves
+admitted requests ahead, in blocks of ``DEFAULT_STREAM_CHUNK``, through
+the kernel under the live tables with the supervisor detached. It then
+replays the block in wavefront order: the hits into the supervisor, the
+completions into the metrics, the events into the log. A swap rolls back
+only the decisions of later rounds and serves them again under the new
+tables; requests mid-walk resume from their next stage (optimistic
+execution with rollback, as in Jefferson's Time Warp, TOPLAS 1985).
+Policies that are not ``vector_safe`` are served one request per block.
+
+**Pacing.** ``time_scale=0`` serves as fast as the machine allows and
+replays bit-identically for a fixed seed. ``time_scale > 0`` paces
+admissions against the wall clock (1.0 = real time, 60.0 = a minute of
+trace per second); the decisions are the unpaced ones, so a paced run
+differs from an unpaced one only in wall-clock fields.
 """
 
 from __future__ import annotations
 
 import asyncio
+import itertools
 import time
 import typing as _t
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from ..adapter.supervisor import HitMissSupervisor
 from ..cluster.faults import FaultSpec, compile_region_failover
 from ..errors import ExperimentError
 from ..fleet.routing import StreamRouter
 from ..fleet.runner import region_arrival
 from ..fleet.topology import FleetConfig
 from ..metrics.streaming import StreamingMoments, StreamingSummary, WindowedRate
-from ..adapter.supervisor import HitMissSupervisor
 from ..policies.registry import JANUS_EXPLORATIONS, POLICIES
 from ..profiling.profiles import LatencyProfile, ProfileSet
 from ..profiling.profiler import profile_workflow
 from ..rng import RngFactory, child_seed
+from ..runtime.executor import DEFAULT_STREAM_CHUNK, AnalyticExecutor
+from ..runtime.results import OutcomeColumns
 from ..scenarios.registry import scenario_workflow
 from ..synthesis.generator import HeadExploration, synthesize_hints
 from ..traces.workload import ArrivalSpec
 from ..workflow.catalog import Workflow
-from ..workflow.request import RequestOutcome, StageRecord, WorkflowRequest
+from ..workflow.request import WorkflowRequest
 from .events import EventLog
 from .sources import arrival_source, fleet_arrival_source
 
@@ -132,6 +155,31 @@ class ServingConfig:
             raise ExperimentError(
                 f"latency_window must be >= 1, got {self.latency_window}"
             )
+        if self.slo_window < 1:
+            raise ExperimentError(
+                f"slo_window must be >= 1, got {self.slo_window}"
+            )
+        if not self.percentiles or not all(
+            0.0 < p < 100.0 for p in self.percentiles
+        ):
+            raise ExperimentError(
+                f"percentiles must be non-empty and each in (0, 100), got "
+                f"{self.percentiles}"
+            )
+        if not 0.0 < self.miss_threshold <= 1.0:
+            raise ExperimentError(
+                f"miss_threshold must be in (0, 1], got {self.miss_threshold}"
+            )
+        if self.miss_window < 1:
+            raise ExperimentError(
+                f"miss_window must be >= 1, got {self.miss_window}"
+            )
+        if not 1 <= self.min_samples <= self.miss_window:
+            raise ExperimentError(
+                f"min_samples must be in [1, miss_window={self.miss_window}] "
+                f"(the drift trigger could never fire otherwise), got "
+                f"{self.min_samples}"
+            )
         last = -1
         for after_n, scale in self.workset_schedule:
             if after_n <= last:
@@ -175,6 +223,70 @@ class ServingReport:
     wall_seconds: float
 
 
+class _Ahead:
+    """Requests served ahead of the replay: ``base <= k < end``.
+
+    Per request: its home region and, per stage, the kernel's size, start
+    offset, duration and hint hit.
+    """
+
+    def __init__(self, stages: int, with_hits: bool) -> None:
+        self.base = 0
+        self.requests: list[WorkflowRequest] = []
+        self.homes: list[int] = []
+        self.sizes = np.empty((0, stages), dtype=np.int64)
+        self.offsets = np.empty((0, stages), dtype=np.float64)
+        self.durations = np.empty((0, stages), dtype=np.float64)
+        self.hits = np.empty((0, stages), dtype=bool) if with_hits else None
+
+    @property
+    def end(self) -> int:
+        return self.base + len(self.requests)
+
+    def keep(self, lo: int, hi: int) -> None:
+        """Drop every request outside ``[lo, hi)``."""
+        a, b = lo - self.base, hi - self.base
+        self.base = lo
+        self.requests = self.requests[a:b]
+        self.homes = self.homes[a:b]
+        self.sizes = self.sizes[a:b]
+        self.offsets = self.offsets[a:b]
+        self.durations = self.durations[a:b]
+        if self.hits is not None:
+            self.hits = self.hits[a:b]
+
+    def append(
+        self,
+        requests: list[WorkflowRequest],
+        homes: list[int],
+        columns: OutcomeColumns,
+        hits: np.ndarray | None,
+    ) -> None:
+        self.requests += requests
+        self.homes += homes
+        self.sizes = np.concatenate([self.sizes, columns.sizes])
+        self.offsets = np.concatenate([self.offsets, columns.offsets])
+        self.durations = np.concatenate([self.durations, columns.durations])
+        if self.hits is not None:
+            self.hits = np.concatenate([self.hits, hits])
+
+    def splice(
+        self,
+        first: int,
+        stage: int,
+        columns: OutcomeColumns,
+        hits: np.ndarray | None,
+    ) -> None:
+        """Overwrite stages ``stage..`` of requests ``first..`` (as many as
+        ``columns`` holds) with a fresh serve."""
+        rows = slice(first - self.base, first - self.base + columns.n)
+        self.sizes[rows, stage:] = columns.sizes
+        self.offsets[rows, stage:] = columns.offsets
+        self.durations[rows, stage:] = columns.durations
+        if self.hits is not None:
+            self.hits[rows, stage:] = hits
+
+
 class ServingLoop:
     """Always-on request sizing over an unbounded arrival stream."""
 
@@ -202,19 +314,17 @@ class ServingLoop:
             slo_ms=self.slo_ms,
         )
         self.policy.bind(self.workflow)
+        self._executor = AnalyticExecutor(self.workflow)
 
-        # Wire drift detection into the policy's adapter when it has one
+        # Drift detection runs on the policy's adapter when it has one
         # (the Janus family); other policies serve without adaptation.
         self.adapter = getattr(self.policy, "adapter", None)
-        self._drift_flagged = False
         if self.adapter is not None:
-            supervisor = HitMissSupervisor(
+            self.adapter.supervisor = HitMissSupervisor(
                 miss_threshold=config.miss_threshold,
                 min_samples=config.min_samples,
                 window=config.miss_window,
             )
-            supervisor.on_regenerate(self._flag_drift)
-            self.adapter.supervisor = supervisor
 
         # A storm fault reshapes the declared source into its flash-crowd
         # counterpart; everything downstream (labels in the start event,
@@ -297,13 +407,23 @@ class ServingLoop:
         self.arrivals = 0
         self.completed = 0
         self.swaps = 0
-        self._in_flight: set[asyncio.Task[None]] = set()
-        self._workset_scale = 1.0
+        # Admitted and not yet done; a request counts until its completion
+        # (metrics, swap, snapshot) is over.
+        self._in_flight = 0
+
+        # Replay state.
+        self._stages = len(self.workflow.chain)
+        self._ahead = _Ahead(self._stages, with_hits=self.adapter is not None)
+        self._open = True
+        self._exhausted = False
+        self._rtts: deque[float] = deque()
+        #: Round whose completion swaps the tables, once the supervisor
+        #: has notified and until it happens.
+        self._swap_round: int | None = None
+        #: Rounds before this one are in the latency windows.
+        self._windowed = 0
 
     # -- request construction ----------------------------------------------
-    def _flag_drift(self, _supervisor: HitMissSupervisor) -> None:
-        self._drift_flagged = True
-
     def _scale_for(self, index: int) -> float:
         scale = 1.0
         for after_n, s in self.config.workset_schedule:
@@ -315,14 +435,14 @@ class ServingLoop:
         # Mirrors :func:`repro.traces.workload.generate_requests`: dynamics
         # are drawn per request in arrival order from per-stage streams, so
         # the stream is identical however the loop is paced or adapted.
-        self._workset_scale = self._scale_for(index)
+        scale = self._scale_for(index)
         dynamics = {}
         for name in self.workflow.dag.nodes:
             model = self.workflow.model(name)
             dyn = model.sample_dynamics(self._stage_rngs[name])
-            if self._workset_scale != 1.0:
+            if scale != 1.0:
                 dyn = type(dyn)(
-                    workset=dyn.workset * self._workset_scale,
+                    workset=dyn.workset * scale,
                     noise_z=dyn.noise_z,
                     interference=dyn.interference,
                 )
@@ -336,70 +456,243 @@ class ServingLoop:
             workflow=self.workflow.name,
         )
 
-    # -- serving ------------------------------------------------------------
-    async def _serve(
-        self, request: WorkflowRequest, rtt_ms: float = 0.0
-    ) -> None:
-        chain = self.workflow.chain
-        limits = self.workflow.limits
-        self.policy.begin_request(request)
-        elapsed = 0.0
-        stages: list[StageRecord] = []
-        for fname in chain:
-            size = self.policy.size_for_node(fname, request, elapsed)
-            size = limits.clamp(size)
-            model = self.workflow.model(fname)
-            exec_ms = model.execution_time(
-                size, request.dynamics_for(fname), request.concurrency
+    # -- serving ahead -----------------------------------------------------
+    def _serve(
+        self,
+        requests: _t.Sequence[WorkflowRequest],
+        start: int = 0,
+        offsets: np.ndarray | None = None,
+    ) -> tuple[OutcomeColumns, np.ndarray | None]:
+        """One kernel call under the live tables; the hint hits come back
+        per request and stage instead of reaching the supervisor."""
+        if self.adapter is None:
+            return self._executor._serve_batch(
+                self.policy, requests, start, offsets
+            ), None
+        with self.adapter.detached() as captured:
+            columns = self._executor._serve_batch(
+                self.policy, requests, start, offsets
             )
-            # A remote-routed request pays the cross-region hop as a
-            # timeline shift (same law as the batch fleet evaluator):
-            # e2e latency grows by exactly the RTT while the sizing walk
-            # — like the executors in a sweep cell — never sees it.
-            start = request.arrival_ms + rtt_ms + elapsed
-            stages.append(
-                StageRecord(
-                    function=fname, size=size, start_ms=start,
-                    end_ms=start + exec_ms,
-                )
-            )
-            elapsed += exec_ms
-            self._lat_windows[fname].append((exec_ms, size))
-            if self.config.time_scale > 0:
-                await asyncio.sleep(
-                    exec_ms / 1000.0 / self.config.time_scale
-                )
-            else:
-                # Cooperative yield: other requests advance one stage per
-                # scheduler round, so the service genuinely interleaves.
-                await asyncio.sleep(0)
-        self.policy.end_request(request)
-        outcome = RequestOutcome(
-            request_id=request.request_id,
-            arrival_ms=request.arrival_ms,
-            slo_ms=request.slo_ms,
-            stages=stages,
-        )
-        self._on_complete(outcome)
+        return columns, np.column_stack([hits for _, hits in captured])
 
-    def _on_complete(self, outcome: RequestOutcome) -> None:
+    def _serve_ahead(self) -> None:
+        """Pull and serve the next block of arrivals."""
+        ahead = self._ahead
+        ahead.keep(self.completed, ahead.end)
+        want = DEFAULT_STREAM_CHUNK if self.policy.vector_safe else 1
+        if self.config.max_requests is not None:
+            want = min(want, self.config.max_requests - ahead.end)
+        pulled = list(itertools.islice(self._arrivals, want))
+        if len(pulled) < want:
+            self._exhausted = True
+        if not pulled:
+            return
+        requests = [
+            self._make_request(ahead.end + i, arrival_ms)
+            for i, (arrival_ms, _) in enumerate(pulled)
+        ]
+        homes = [home for _, home in pulled]
+        ahead.append(requests, homes, *self._serve(requests))
+
+    def _serve_again(self, round_: int) -> None:
+        """Roll back every decision of ``round_`` and later: serve it again
+        under the tables just deployed."""
+        ahead = self._ahead
+        # Requests mid-walk resume from the stage this round decides.
+        for k in range(round_ - self._stages + 1, min(round_, ahead.end)):
+            stage, row = round_ - k, k - ahead.base
+            columns, hits = self._serve(
+                ahead.requests[row : row + 1],
+                start=stage,
+                offsets=ahead.offsets[row, stage : stage + 1],
+            )
+            ahead.splice(k, stage, columns, hits)
+        if round_ < ahead.end:
+            columns, hits = self._serve(
+                ahead.requests[round_ - ahead.base :]
+            )
+            ahead.splice(round_, 0, columns, hits)
+
+    # -- replay --------------------------------------------------------------
+    async def _admit(self, t0: float) -> bool:
+        """Admit the next request, or close admissions when a bound trips
+        or the source runs dry; returns whether one was admitted."""
+        cfg = self.config
+        ahead = self._ahead
+        index = self.arrivals
+        if (
+            cfg.max_requests is not None and index >= cfg.max_requests
+        ) or (
+            cfg.max_seconds is not None
+            and time.perf_counter() - t0 >= cfg.max_seconds
+        ):
+            return self._close()
+        if index == ahead.end and not self._exhausted:
+            self._serve_ahead()
+        if index == ahead.end:
+            return self._close()
+        arrival_ms = ahead.requests[index - ahead.base].arrival_ms
+        home = ahead.homes[index - ahead.base]
+        scale = self._scale_for(index)
+        if cfg.time_scale > 0:
+            target = t0 + arrival_ms / 1000.0 / cfg.time_scale
+            delay = target - time.perf_counter()
+            if delay > 0:
+                await asyncio.sleep(delay)
+        rtt_ms = 0.0
+        served = home
+        if self.router is not None:
+            served, rtt_ms = self.router.route(home, arrival_ms)
+        self._rtts.append(rtt_ms)
+        self.arrivals += 1
+        self._in_flight += 1
+        if self.fleet is not None:
+            self.events.emit(
+                "arrival",
+                request_id=index,
+                arrival_ms=round(arrival_ms, 3),
+                workset_scale=scale,
+                home=self.fleet.regions[home],
+                served=self.fleet.regions[served],
+                rtt_ms=rtt_ms,
+            )
+        else:
+            self.events.emit(
+                "arrival",
+                request_id=index,
+                arrival_ms=round(arrival_ms, 3),
+                workset_scale=scale,
+            )
+        return True
+
+    def _close(self) -> bool:
+        self._open = False
+        # Requests served ahead but never admitted are forgotten.
+        self._ahead.keep(self._ahead.base, self.arrivals)
+        return False
+
+    def _complete(self, round_: int) -> None:
+        """The completion of ``round_``, if it has one."""
+        if round_ < self._stages or self.completed == self.arrivals:
+            return
+        ahead = self._ahead
+        row = self.completed - ahead.base
+        arrival_ms = ahead.requests[row].arrival_ms
+        offset = ahead.offsets.item(row, -1)
+        duration = ahead.durations.item(row, -1)
+        # A remote-routed request pays the cross-region hop as a timeline
+        # shift (same law as the batch fleet evaluator): e2e latency grows
+        # by exactly the RTT while the sizing walk never sees it.
+        rtt_ms = self._rtts.popleft()
+        e2e_ms = arrival_ms + rtt_ms + offset + duration - arrival_ms
+        sizes = ahead.sizes[row].tolist()
+        allocated = int(sum(sizes))
+        slo_met = e2e_ms <= self.slo_ms
         self.completed += 1
-        self.latency.add(outcome.e2e_ms)
-        self.slo.add(outcome.slo_met)
-        self.cost.add(outcome.allocated_millicores)
-        self.slack.add(outcome.slack)
+        self.latency.add(e2e_ms)
+        self.slo.add(slo_met)
+        self.cost.add(allocated)
+        self.slack.add(1.0 - e2e_ms / self.slo_ms)
         self.events.emit(
             "decision",
-            request_id=outcome.request_id,
-            e2e_ms=round(outcome.e2e_ms, 3),
-            slo_met=outcome.slo_met,
-            allocated_millicores=outcome.allocated_millicores,
-            sizes=outcome.sizes(),
+            request_id=self.completed - 1,
+            e2e_ms=round(e2e_ms, 3),
+            slo_met=slo_met,
+            allocated_millicores=allocated,
+            sizes=sizes,
         )
-        if self._drift_flagged and self.config.adapt:
+        if round_ == self._swap_round:
+            self._swap_round = None
+            self._extend_windows(round_)
             self._resynthesize()
+            self._serve_again(round_)
         if self.completed % self.config.metrics_every == 0:
             self.events.emit("snapshot", **self.snapshot())
+        self._in_flight -= 1
+
+    def _record(self, first: int, stop: int) -> None:
+        """Account the hint lookups of rounds ``[first, stop)`` in
+        wavefront order; a notification schedules the swap."""
+        if self.adapter is None or stop <= first:
+            return
+        ahead = self._ahead
+        rounds = np.arange(first, stop)[:, None]
+        # Round r decides requests r-L+1..r, i.e. stages L-1..0.
+        ks = rounds + np.arange(1 - self._stages, 1)
+        valid = (ks >= 0) & (ks < ahead.end)
+        ks, rounds = ks[valid], np.broadcast_to(rounds, valid.shape)[valid]
+        fired = self.adapter.supervisor.record_many(
+            ahead.hits[ks - ahead.base, rounds - ks]
+        )
+        if fired is not None and self.config.adapt:
+            # The next completion is in the following round, or in round L
+            # if nothing has completed yet.
+            self._swap_round = max(int(rounds[fired]) + 1, self._stages)
+
+    def _extend_windows(self, stop: int) -> None:
+        """Bring the latency windows up to the decisions of rounds
+        before ``stop``."""
+        ahead = self._ahead
+        first, self._windowed = self._windowed, stop
+        for j, window in enumerate(self._lat_windows.values()):
+            lo, hi = max(first - j, 0), min(stop - j, ahead.end)
+            lo = max(lo, hi - self.config.latency_window)
+            if hi > lo:
+                rows = slice(lo - ahead.base, hi - ahead.base)
+                window.extend(
+                    zip(
+                        ahead.durations[rows, j].tolist(),
+                        ahead.sizes[rows, j].tolist(),
+                    )
+                )
+
+    def _span_end(self, first: int) -> int:
+        """Rounds ``[first, end)`` whose lookups can be accounted at once:
+        none of them but ``first`` snapshots the supervisor, and every
+        request they decide has been served ahead."""
+        every = self.config.metrics_every
+        low = max(first + 1 - self._stages, 0)
+        end = ((low + every) // every) * every - 1 + self._stages
+        if self._open:
+            return min(end, self._ahead.end)
+        return min(end, self.arrivals + self._stages)
+
+    async def _replay(self, t0: float) -> None:
+        """Replay rounds until admissions close and every request is done.
+
+        Each round's events (admission, completion) come before its
+        lookups. A span accounts the lookups of all its rounds first, then
+        replays their events; no round after the first reads the
+        supervisor, except the one that swaps, which ends the span.
+        """
+        supervisor = self.adapter.supervisor if self.adapter else None
+        first, replayed = 0, False
+        while self._open or self.completed < self.arrivals:
+            if not replayed:
+                if self._open:
+                    await self._admit(t0)
+                self._complete(first)
+            end = self._span_end(first)
+            saved = supervisor.save() if supervisor is not None else None
+            swap_round = self._swap_round
+            self._record(first, end)
+            nxt, replayed = end, False
+            for round_ in range(first + 1, end):
+                closed = self._open and not await self._admit(t0)
+                if closed:
+                    # A wall-clock bound closed admissions mid-span: the
+                    # lookups of requests never admitted were accounted.
+                    if supervisor is not None:
+                        supervisor.restore(saved)
+                    self._swap_round = swap_round
+                    self._record(first, round_)
+                swapping = round_ == self._swap_round
+                self._complete(round_)
+                if closed or swapping:
+                    nxt, replayed = round_, True
+                    break
+            self._extend_windows(nxt)
+            first = nxt
 
     # -- adaptation ----------------------------------------------------------
     def _drift_ratios(self) -> dict[str, float]:
@@ -425,9 +718,6 @@ class ServingLoop:
         return ratios
 
     def _resynthesize(self) -> None:
-        self._drift_flagged = False
-        if self.adapter is None:
-            return
         ratios = self._drift_ratios()
         scaled = {}
         for fname in self.workflow.chain:
@@ -452,7 +742,7 @@ class ServingLoop:
             exploration=exploration,
             workflow_name=self.workflow.name,
         )
-        in_flight = max(0, len(self._in_flight) - 1)  # minus the completer
+        in_flight = max(0, self._in_flight - 1)  # minus the completer
         self.adapter.replace_hints(new_hints)  # resets the supervisor
         self.profiles = ProfileSet(
             {**{f: self.profiles[f] for f in self.profiles.functions()},
@@ -481,7 +771,7 @@ class ServingLoop:
         out = self.latency.snapshot()
         out["arrivals"] = float(self.arrivals)
         out["completed"] = float(self.completed)
-        out["in_flight"] = float(len(self._in_flight))
+        out["in_flight"] = float(self._in_flight)
         out["slo_attainment"] = self.slo.rate
         out["slo_attainment_windowed"] = self.slo.windowed_rate
         out["violation_rate"] = 1.0 - self.slo.rate
@@ -537,53 +827,7 @@ class ServingLoop:
                 effective_source=self.effective_source.label,
             )
         try:
-            for arrival_ms, home in self._arrivals:
-                if (
-                    cfg.max_requests is not None
-                    and self.arrivals >= cfg.max_requests
-                ):
-                    break
-                if (
-                    cfg.max_seconds is not None
-                    and time.perf_counter() - t0 >= cfg.max_seconds
-                ):
-                    break
-                if cfg.time_scale > 0:
-                    target = t0 + arrival_ms / 1000.0 / cfg.time_scale
-                    delay = target - time.perf_counter()
-                    if delay > 0:
-                        await asyncio.sleep(delay)
-                rtt_ms = 0.0
-                served = home
-                if self.router is not None:
-                    served, rtt_ms = self.router.route(home, arrival_ms)
-                request = self._make_request(self.arrivals, arrival_ms)
-                self.arrivals += 1
-                if self.fleet is not None:
-                    self.events.emit(
-                        "arrival",
-                        request_id=request.request_id,
-                        arrival_ms=round(arrival_ms, 3),
-                        workset_scale=self._workset_scale,
-                        home=self.fleet.regions[home],
-                        served=self.fleet.regions[served],
-                        rtt_ms=rtt_ms,
-                    )
-                else:
-                    self.events.emit(
-                        "arrival",
-                        request_id=request.request_id,
-                        arrival_ms=round(arrival_ms, 3),
-                        workset_scale=self._workset_scale,
-                    )
-                task = asyncio.ensure_future(self._serve(request, rtt_ms))
-                self._in_flight.add(task)
-                task.add_done_callback(self._in_flight.discard)
-                await asyncio.sleep(0)
-            # Drain: no request is dropped — every ingested arrival
-            # completes, including those mid-flight during a hot swap.
-            while self._in_flight:
-                await asyncio.gather(*list(self._in_flight))
+            await self._replay(t0)
             snapshot = self.snapshot()
             self.events.emit("snapshot", **snapshot)
             wall = time.perf_counter() - t0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.adapter.adapter import JanusAdapter
 from repro.adapter.service import AdapterService
@@ -142,6 +144,89 @@ class TestWindowedSupervisor:
         assert snap["cumulative_miss_rate"] == 1.0
 
 
+def _state(sup):
+    recent = list(sup._recent) if sup._recent is not None else None
+    return (sup.hits, sup.misses, recent, sup._recent_misses, sup._notified)
+
+
+#: Lookup outcomes, mostly hits, as in a healthy deployment.
+_lookups = st.lists(st.sampled_from([True] * 9 + [False]), max_size=300)
+
+
+class TestRecordMany:
+    """The vectorised accounting equals the scalar loop at every prefix."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        prefill=st.lists(st.booleans(), max_size=60),
+        lookups=_lookups,
+        window=st.one_of(st.none(), st.integers(1, 40)),
+        threshold=st.sampled_from([0.01, 0.05, 0.1, 0.3, 1.0]),
+        min_samples=st.integers(1, 40),
+        callback=st.sampled_from(["none", "count", "reset"]),
+    )
+    def test_matches_scalar_loop(
+        self, prefill, lookups, window, threshold, min_samples, callback
+    ):
+        assume(window is None or min_samples <= window)
+        fired = {"bulk": [], "scalar": []}
+        sups = {}
+        for name in fired:
+            sup = HitMissSupervisor(
+                miss_threshold=threshold, min_samples=min_samples,
+                window=window,
+            )
+            if callback != "none":
+                def on_fire(s, log=fired[name]):
+                    log.append(s.total)
+                    if callback == "reset":
+                        s.reset()
+                sup.on_regenerate(on_fire)
+            for hit in prefill:
+                sup.record(hit)
+            sups[name] = sup
+        first = None
+        for i, hit in enumerate(lookups):
+            before = sups["scalar"]._notified, len(fired["scalar"])
+            sups["scalar"].record(hit)
+            after = sups["scalar"]._notified, len(fired["scalar"])
+            flipped = (not before[0] and after[0]) or after[1] > before[1]
+            if first is None and flipped:
+                first = i
+        assert sups["bulk"].record_many(np.array(lookups, dtype=bool)) == first
+        assert _state(sups["bulk"]) == _state(sups["scalar"])
+        assert fired["bulk"] == fired["scalar"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lookups=_lookups,
+        cuts=st.lists(st.integers(0, 300), max_size=5),
+        window=st.one_of(st.none(), st.integers(1, 40)),
+    )
+    def test_any_split_of_the_batch_agrees(self, lookups, cuts, window):
+        whole = HitMissSupervisor(miss_threshold=0.05, min_samples=1,
+                                  window=window)
+        parts = HitMissSupervisor(miss_threshold=0.05, min_samples=1,
+                                  window=window)
+        whole.record_many(np.array(lookups, dtype=bool))
+        edges = [0, *sorted(c for c in cuts if c <= len(lookups)),
+                 len(lookups)]
+        for lo, hi in zip(edges, edges[1:]):
+            parts.record_many(np.array(lookups[lo:hi], dtype=bool))
+        assert _state(parts) == _state(whole)
+
+    def test_save_and_restore(self):
+        sup = HitMissSupervisor(miss_threshold=0.1, min_samples=5, window=8)
+        for hit in [True, False, True]:
+            sup.record(hit)
+        saved = sup.save()
+        before = _state(sup)
+        sup.record_many(np.array([False] * 10))
+        assert sup._notified
+        sup.restore(saved)
+        assert _state(sup) == before
+
+
 class TestJanusAdapter:
     def test_initial_decision_uses_full_slo(self):
         adapter = JanusAdapter(make_hints(), slo_ms=3000.0)
@@ -178,6 +263,21 @@ class TestJanusAdapter:
         assert len(lats) == 20
         # Paper §V-H: decisions stay well under 3 ms.
         assert max(lats) < 3.0
+
+    def test_detached_lookups_are_not_recorded(self):
+        adapter = JanusAdapter(make_hints(tmin=1000), slo_ms=3000.0)
+        budgets = np.array([200.0, 2500.0])
+        with adapter.detached() as captured:
+            sizes, hits = adapter.decide_many(1, budgets)
+        assert adapter.supervisor.total == 0
+        assert adapter.decision_latencies_ms() == []
+        assert [(stage, h.tolist()) for stage, h in captured] == [
+            (1, [False, True])
+        ]
+        # Outside the block the same lookups are recorded.
+        again, _ = adapter.decide_many(1, budgets)
+        assert again.tolist() == sizes.tolist()
+        assert adapter.supervisor.misses == 1
 
     def test_replace_hints_resets_supervisor(self):
         adapter = JanusAdapter(make_hints(), slo_ms=3000.0)

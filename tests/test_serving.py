@@ -116,6 +116,26 @@ class TestServingConfig:
         with pytest.raises(ExperimentError):
             ServingConfig(max_requests=10, time_scale=-1.0)
 
+    @pytest.mark.parametrize("overrides,match", [
+        (dict(miss_threshold=0.0), "miss_threshold"),
+        (dict(miss_threshold=1.5), "miss_threshold"),
+        (dict(miss_window=0, min_samples=1), "miss_window"),
+        # The CLI's --miss-window 20 with the default min_samples of 50.
+        (dict(miss_window=20), "min_samples"),
+        (dict(min_samples=0), "min_samples"),
+        (dict(slo_window=0), "slo_window"),
+        (dict(percentiles=(50.0, 100.0)), "percentiles"),
+        (dict(percentiles=(0.0,)), "percentiles"),
+        (dict(percentiles=()), "percentiles"),
+    ])
+    def test_supervisor_and_metric_knobs_rejected_up_front(
+        self, overrides, match
+    ):
+        # These used to pass the config and fail in ServingLoop.__init__,
+        # after profiling, mostly as AdapterError.
+        with pytest.raises(ExperimentError, match=match):
+            ServingConfig(max_requests=10, **overrides)
+
     def test_workset_schedule_must_ascend(self):
         with pytest.raises(ExperimentError, match="ascend"):
             ServingConfig(

@@ -444,6 +444,7 @@ class _ServingPlatform:
             "mean_cluster_allocated": self.accounting.mean_allocated(),
             "idle_millicore_ms": self.pool.idle_millicore_ms,
             "throttled": self.pool.throttled,
+            "throttled_wait_ms": self.pool.throttled_wait_ms,
             "events_processed": self.sim.processed_events,
             "autoscaler_adjustments": self.autoscaler.adjustments,
         }

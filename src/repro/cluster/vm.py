@@ -31,11 +31,9 @@ class VirtualMachine:
         self._up = True
         #: Transient execution slowdown (>= 1.0) while straggling.
         self.slowdown = 1.0
-        #: Hooks the pool manager installs to keep pending pods in step:
-        #: ``before_change`` runs just before an eviction, a resize or an
-        #: up/down flip; ``on_free`` runs once the VM gained usable capacity
-        #: (a pod evicted, a pod resized down, or the VM back up).
-        self.before_change: _t.Callable[[], None] | None = None
+        #: Hook the pool manager installs to wake pending pods: runs once the
+        #: VM gained usable capacity (a pod evicted, a pod resized down, or
+        #: the VM back up).
         self.on_free: _t.Callable[[], None] | None = None
 
     # -- capacity ----------------------------------------------------------
@@ -49,7 +47,6 @@ class VirtualMachine:
 
     @up.setter
     def up(self, value: bool) -> None:
-        self._changing()
         was_up, self._up = self._up, bool(value)
         if self._up and not was_up:
             self._freed()
@@ -62,10 +59,6 @@ class VirtualMachine:
     def fits(self, size: Millicores) -> bool:
         """Whether a pod of ``size`` can be placed here (never on a down VM)."""
         return self._up and size <= self.capacity - self.allocated
-
-    def _changing(self) -> None:
-        if self.before_change is not None:
-            self.before_change()
 
     def _freed(self) -> None:
         if self.on_free is not None:
@@ -87,7 +80,6 @@ class VirtualMachine:
         """Remove a pod."""
         if pod.pod_id not in self._pods:
             raise ClusterError(f"pod {pod.pod_id} not on VM {self.vm_id}")
-        self._changing()
         del self._pods[pod.pod_id]
         self.allocated -= pod.size
         self._freed()
@@ -103,7 +95,6 @@ class VirtualMachine:
             raise ClusterError(
                 f"VM {self.vm_id}: resize by +{delta} mc exceeds free {self.free} mc"
             )
-        self._changing()
         pod._size = int(new_size)
         self.allocated += delta
         if pod.busy:

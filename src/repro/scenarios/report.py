@@ -60,6 +60,7 @@ EXTRA_METRICS = (
 #: listed here (e.g. wall-clock diagnostics such as ``synthesis_seconds``)
 #: stays out of the payload so sweep JSON remains byte-stable.
 CARRIED_EXTRAS = EXTRA_METRICS + (
+    "throttled_wait_ms",
     "idle_millicore_ms",
     "autoscaler_adjustments",
     "hit_rate",

@@ -10,8 +10,7 @@ The run loops bind ``heapq.heappop`` and the heap list to locals and pop
 events inline rather than calling :meth:`step` per event — attribute lookups
 and the defensive time check are hoisted out of the hot loop (the heap
 invariant already guarantees non-decreasing pop times, because every push
-happens at ``now + delay`` with ``delay >= 0`` or, via :meth:`schedule_at`,
-at an absolute time no earlier than ``now``). :meth:`step` keeps the
+happens at ``now + delay`` with ``delay >= 0``). :meth:`step` keeps the
 checked, one-event-at-a-time semantics for debugging and tests.
 """
 
@@ -30,31 +29,19 @@ __all__ = ["Simulator"]
 class Simulator:
     """Event-driven simulation engine with millisecond float time."""
 
-    __slots__ = ("_now", "_heap", "_seq", "_event_count", "_active")
+    __slots__ = ("_now", "_heap", "_seq", "_event_count")
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._event_count = 0
-        self._active: Event | None = None
 
     # -- time ---------------------------------------------------------------
     @property
     def now(self) -> float:
         """Current simulation time (ms)."""
         return self._now
-
-    @property
-    def active_event(self) -> Event | None:
-        """The event whose callbacks are running (``None`` before the first).
-
-        Lets a callback tell how the current instant was reached — e.g. a
-        :class:`~repro.sim.events.Timeout`'s ``delay`` dates the moment it
-        was scheduled, which decides its order against other events pushed
-        for the same instant.
-        """
-        return self._active
 
     @property
     def processed_events(self) -> int:
@@ -89,25 +76,6 @@ class Simulator:
         heapq.heappush(self._heap, (self._now + delay, self._seq, event))
         self._seq += 1
 
-    def schedule_at(self, event: Event, t: float) -> Event:
-        """Trigger ``event`` to be processed at absolute time ``t``.
-
-        Unlike ``succeed(delay=t - now)``, the event lands on exactly ``t``
-        (``now + (t - now)`` need not round back to ``t``). Events due at
-        the same time are processed in the order they were pushed.
-        """
-        t = float(t)
-        if t < self._now:
-            raise SimulationError(
-                f"cannot schedule into the past: {t} < now {self._now}"
-            )
-        if event._triggered:
-            raise SimulationError("event already triggered")
-        event._triggered = True
-        heapq.heappush(self._heap, (t, self._seq, event))
-        self._seq += 1
-        return event
-
     # -- run loop -------------------------------------------------------------
     def step(self) -> None:
         """Process exactly one event; raise if the heap is empty."""
@@ -117,7 +85,6 @@ class Simulator:
         if t < self._now:
             raise SimulationError(f"time went backwards: {t} < {self._now}")
         self._now = t
-        self._active = event
         self._event_count += 1
         event._process()
 
@@ -147,7 +114,6 @@ class Simulator:
                 while heap:
                     t, _, event = pop(heap)
                     self._now = t
-                    self._active = event
                     count += 1
                     event._processed = True
                     callbacks = event.callbacks
@@ -168,7 +134,6 @@ class Simulator:
                         )
                     t, _, event = pop(heap)
                     self._now = t
-                    self._active = event
                     count += 1
                     event._processed = True
                     callbacks = event.callbacks
@@ -190,7 +155,6 @@ class Simulator:
             while heap and heap[0][0] <= deadline:
                 t, _, event = pop(heap)
                 self._now = t
-                self._active = event
                 count += 1
                 event._processed = True
                 callbacks = event.callbacks

@@ -25,6 +25,25 @@ def slow_double(item: tuple[float, float]) -> float:
     return 2 * value
 
 
+def rendezvous(item: tuple[str, int, float]) -> int:
+    """Double ``value`` once two distinct worker processes have joined.
+
+    Each call writes its process id into the shared directory ``where``
+    and waits, up to ``timeout`` seconds, until two distinct ids are
+    there. A worker pulls one task at a time, so while the first worker
+    waits here the second must connect and take a task: both serve.
+    """
+    where, value, timeout = item
+    with open(os.path.join(where, str(os.getpid())), "w", encoding="utf-8"):
+        pass
+    deadline = time.monotonic() + timeout
+    while len(os.listdir(where)) < 2:
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"no second worker joined within {timeout} s")
+        time.sleep(0.01)
+    return 2 * value
+
+
 def crash_once(item: tuple[str | None, int]) -> int:
     """Die hard (``os._exit``, no cleanup) the first time the marked item
     runs; any re-dispatch — or any unmarked item — succeeds."""

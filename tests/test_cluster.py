@@ -707,9 +707,9 @@ class TestSaturation:
         assert pool.reclaimed >= 1  # parked A pods were evicted
 
     def test_throttled_wait_reclaims_pod_parked_mid_wait(self):
-        # The pending-pod loop must re-run idle reclamation on every retry:
-        # a pod parked *after* the contender started waiting is reclaimed
-        # from inside the loop, releasing the capacity the contender needs.
+        # Parking wakes the pending pods: a pod parked *after* the
+        # contender started waiting is reclaimed for it, releasing the
+        # capacity the contender needs.
         sim = Simulator()
         vms = [VirtualMachine(0, 3000)]
         fns = {"A": make_function("A", sigma=0.0),
@@ -730,11 +730,12 @@ class TestSaturation:
         sim.process(holder())
         contender_proc = sim.process(contender())
         t_acquired = sim.run(until=contender_proc)
-        assert pool.throttled > 0  # had to poll while the VM was full
+        assert pool.throttled == 1  # waited while the VM was full
         assert pool.reclaimed == 1  # parked A pod evicted mid-wait
-        # Acquired only after the holder released (500 ms cold start +
-        # 200 ms execution) plus B's own cold start.
-        assert t_acquired >= 700.0
+        # Placed the moment the holder parked (500 ms cold start + 200 ms
+        # execution), then paid B's own cold start.
+        assert pool.throttled_wait_ms == 700.0
+        assert t_acquired == 700.0 + fns["B"].cold_start_ms
 
     def test_failed_request_process_surfaces(self):
         # Platform.run must propagate process failures, not drop requests.

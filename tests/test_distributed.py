@@ -532,10 +532,14 @@ def worker_env(monkeypatch):
 
 
 class TestSubprocessWorkers:
-    def test_two_local_workers_end_to_end(self, worker_env):
+    def test_two_local_workers_end_to_end(self, worker_env, tmp_path):
+        # Every task waits until both workers have joined, so one worker
+        # cannot drain the queue before the other connects.
         backend = DistributedBackend(hosts="local:2", connect_timeout=60.0)
-        out = backend.run(list(range(6)), helpers.double)
+        items = [(str(tmp_path), value, 60.0) for value in range(6)]
+        out = backend.run(items, helpers.rendezvous)
         assert out == [0, 2, 4, 6, 8, 10]
+        assert len(os.listdir(tmp_path)) == 2
         stats = backend.stats()
         assert stats["hosts"]["local"]["workers"] == 2
         assert stats["hosts"]["local"]["completed"] == 6

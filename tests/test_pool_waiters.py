@@ -1,41 +1,47 @@
-"""The event-driven capacity wait against the polling reference.
+"""Pending pods in the cluster DES: one FIFO queue woken at capacity changes.
 
-A pending pod in :class:`~repro.cluster.pool.PoolManager` is woken only at
-the retry-grid instants where a retry can change something. These tests
-pin that against :class:`~tests.pool_polling_reference.PollingPoolManager`,
-which retries on every grid instant: on small random saturated clusters
-(faults, keep-alive, warm pools, autoscaling, tenants, chain and DAG
-workflows) every outcome and every pool and fault counter must match
-exactly. The pinned sweeps are configurations whose same-instant ties a
-registration-order wake got wrong.
+A cold start on a full cluster leaves the pod pending in
+:class:`~repro.cluster.pool.PoolManager`'s queue until a capacity change
+wakes it. On small random saturated clusters (faults, keep-alive, warm
+pools, autoscaling, tenants, chain and DAG workflows) these properties pin
+the queue down:
+
+* every request yields exactly one outcome;
+* no wakeup is lost: once an instant's events have all run, no pending pod
+  fits an up VM, even with every parked pod reclaimed;
+* FIFO: a pending pod is never placed while an older pending pod of no
+  larger size still waits;
+* ``throttled`` counts the acquisitions that waited and
+  ``throttled_wait_ms`` sums their waits;
+* two runs give identical results.
 """
 
 from __future__ import annotations
 
 import contextlib
-import io
+import typing as _t
+from dataclasses import dataclass
+from unittest import mock
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cli import main as cli_main
+from repro.cluster import platform as _platform
 from repro.cluster.accounting import ClusterAccounting
 from repro.cluster.faults import parse_fault
 from repro.cluster.multi import MultiTenantPlatform, TenantJob
 from repro.cluster.platform import ClusterConfig, ServerlessPlatform
 from repro.cluster.pod import Pod
-from repro.cluster.pool import PoolManager, _grid_after
+from repro.cluster.pool import PoolManager
 from repro.cluster.vm import VirtualMachine
-from repro.errors import ClusterError
+from repro.errors import ClusterError, SimulationError
 from repro.policies.base import SizingPolicy
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 from repro.traces.workload import ArrivalSpec, WorkloadConfig, generate_requests
 from repro.workflow.catalog import Workflow
 from repro.workflow.chain import chain_dag
 from repro.workflow.dag import WorkflowDAG
 from tests.conftest import make_function, small_limits
-from tests.pool_polling_reference import PollingPoolManager, polling_pools
 
 
 class NodeSizes(SizingPolicy):
@@ -86,11 +92,7 @@ def saturated_cells(draw):
         min_warm=draw(st.integers(0, 1)),
     )
     # Round cold starts and zero-noise functions put boots, finishes and
-    # arrivals on the 10 ms retry grid, where same-instant order matters;
-    # a cold start shorter than the retry interval lands between grid
-    # instants' retries. A timer of exactly one retry interval is the one
-    # tie the waiter queue does not order (see the pool module docstring),
-    # so no cold start here equals it.
+    # arrivals on shared instants, where same-instant order matters.
     sigma = draw(st.sampled_from([0.0, 0.1]))
     cold_ms = draw(st.sampled_from([0.0, 5.0, 200.0, 500.0]))
     if draw(st.booleans()):
@@ -118,16 +120,103 @@ def saturated_cells(draw):
     return config, faults, draw(st.integers(0, 2**16)), tenants
 
 
+@dataclass(eq=False)
+class _Pending:
+    """One pending pod as the observed pool saw it."""
+
+    seq: int
+    size: int
+    since: float
+    placed_at: float | None = None
+
+
+class _ObservedPool(PoolManager):
+    """A pool that logs every pending pod and checks FIFO placement."""
+
+    def __init__(self, sim, *args, **kwargs) -> None:
+        super().__init__(sim, *args, **kwargs)
+        sim.pools.append(self)
+        self.pending: list[_Pending] = []
+        self.violations: list[str] = []
+
+    def _wait(self, function, size):
+        event = super()._wait(function, size)
+        entry = _Pending(len(self.pending), size, self.sim.now)
+        self.pending.append(entry)
+        event.add_callback(lambda _ev: self._placed(entry))
+        return event
+
+    def _placed(self, entry: _Pending) -> None:
+        entry.placed_at = self.sim.now
+        for older in self.pending[: entry.seq]:
+            if older.placed_at is None and older.size <= entry.size:
+                self.violations.append(
+                    f"pod {entry.seq} ({entry.size} mc) placed at "
+                    f"{self.sim.now} before pod {older.seq} ({older.size} mc)"
+                )
+
+
+class _SteppedSimulator(Simulator):
+    """Runs one event at a time and, once an instant's events have all
+    run, asserts that no pending pod could be placed. (A lost wakeup can
+    leave a run with a periodic autoscaler spinning forever, so it fails
+    at once.)"""
+
+    __slots__ = ("pools",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.pools: list[_ObservedPool] = []
+
+    def run(self, until=None):
+        if not isinstance(until, Event):
+            return super().run(until)
+        while not until.processed:
+            if not self._heap:
+                raise SimulationError("ran out of events")
+            self.step()
+            if self.peek() > self.now:
+                self._check_instant()
+        if not until.ok:
+            raise until.value
+        return until.value
+
+    def _check_instant(self) -> None:
+        for pool in self.pools:
+            parked: dict[int, int] = {}
+            for entries in pool._warm.values():
+                for entry in entries:
+                    vm_id = entry.pod.vm.vm_id
+                    parked[vm_id] = parked.get(vm_id, 0) + entry.pod.size
+            for waiter in pool._waiters:
+                for vm in pool.vms:
+                    assert not (
+                        vm.up
+                        and waiter.size <= vm.free + parked.get(vm.vm_id, 0)
+                    ), f"{waiter.size} mc pending at {self.now}, room on VM {vm.vm_id}"
+
+
+@contextlib.contextmanager
+def observed_platforms() -> _t.Iterator[list[_SteppedSimulator]]:
+    """Build every cluster platform on a stepped simulator with an observed
+    pool; yields the simulators as they are built."""
+    sims: list[_SteppedSimulator] = []
+
+    def make_sim() -> _SteppedSimulator:
+        sims.append(_SteppedSimulator())
+        return sims[-1]
+
+    with mock.patch.object(_platform, "Simulator", make_sim), \
+            mock.patch.object(_platform, "PoolManager", _ObservedPool):
+        yield sims
+
+
 def _observe(results) -> list:
     """Every outcome plus the platform extras, for exact comparison."""
-    observed = []
-    for result in results:
-        extras = dict(result.extras)
-        # The one counter that is meant to differ: skipped retries are
-        # never simulated.
-        extras.pop("events_processed")
-        observed.append((result.policy_name, result.outcomes, extras))
-    return observed
+    return [
+        (result.policy_name, result.outcomes, result.extras)
+        for result in results
+    ]
 
 
 def _serve(config, faults, fault_seed, tenants) -> list:
@@ -149,17 +238,52 @@ def _serve(config, faults, fault_seed, tenants) -> list:
     return _observe(results.values())
 
 
-class TestAgainstPollingReference:
-    @settings(max_examples=150, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(cell=saturated_cells())
-    def test_runs_match_polling_exactly(self, cell):
-        new = _serve(*cell)
-        with polling_pools():
-            reference = _serve(*cell)
-        assert new == reference
+_SATURATED = settings(
+    max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
-    def test_reference_actually_throttles(self):
+
+class TestPendingPodProperties:
+    @_SATURATED
+    @given(cell=saturated_cells())
+    def test_pending_pods_fifo_without_lost_wakeups(self, cell):
+        with observed_platforms() as sims:
+            observed = _serve(*cell)
+        # Every request yields exactly one outcome.
+        served = sorted(
+            sorted(o.request_id for o in outcomes) for _, outcomes, _ in observed
+        )
+        wanted = sorted(
+            sorted(r.request_id for r in requests) for *_, requests in cell[3]
+        )
+        assert served == wanted
+        # Platforms build their substrate once on construction and afresh
+        # per run; the last one served.
+        sim = sims[-1]
+        (pool,) = sim.pools
+        assert pool.violations == []
+        # ``throttled`` counts the acquisitions that waited and
+        # ``throttled_wait_ms`` sums their waits, in placement order. The
+        # tenants of a multi-tenant run share the pool, so every result
+        # carries the same counters.
+        placed = sorted(
+            pool.pending, key=lambda p: (p.placed_at, pool.pending.index(p))
+        )
+        assert all(p.placed_at is not None for p in pool.pending)
+        for _, _, extras in observed:
+            assert extras["throttled"] == len(pool.pending)
+            assert extras["throttled_wait_ms"] == pool.throttled_wait_ms
+        assert pool.throttled_wait_ms == sum(
+            p.placed_at - p.since for p in placed
+        )
+
+    @_SATURATED
+    @given(cell=saturated_cells())
+    def test_runs_are_deterministic(self, cell):
+        assert _serve(*cell) == _serve(*cell)
+
+    def test_cells_actually_throttle(self):
         # Guard against a vacuous suite: the generated cells saturate.
         wf = _workflow(False, 0.0, 200.0, "a")
         requests = generate_requests(
@@ -172,61 +296,80 @@ class TestAgainstPollingReference:
                                autoscale=False)
         cell = (config, "preempt@300:150", 1,
                 [("a", wf, {n: 2000 for n in wf.dag.nodes}, requests)])
-        new = _serve(*cell)
-        with polling_pools():
-            reference = _serve(*cell)
-        assert new == reference
-        assert new[0][2]["throttled"] > 100
-        assert new[0][2]["preemptions"] > 0
+        with observed_platforms() as sims:
+            ((_, outcomes, extras),) = _serve(*cell)
+        assert len(outcomes) == 12
+        assert sims[-1].pools[0].violations == []
+        assert extras["throttled"] >= 11
+        assert extras["throttled_wait_ms"] > 0
+        assert extras["preemptions"] > 0
 
 
-class TestRetryGrid:
-    def test_grid_after_matches_repeated_addition(self):
-        starts = [0.0, 3.3, 979.9999999999999, 1019.9999999999999,
-                  1023.5, 4090.123456789, 65_530.0, 131_071.9]
-        for d in starts:
-            for span in (0.0, 7.0, 10.0, 640.0, 1e4, 2.5e5):
-                x, n = d, 0
-                while x < d + span:
-                    x += 10.0
-                    n += 1
-                assert _grid_after(d, d + span, 10.0) == (x, n)
-
-    @pytest.mark.parametrize("pool_cls", [PoolManager, PollingPoolManager])
-    def test_merged_grids_keep_the_earlier_instant_first(self, pool_cls):
-        # Two pods pend on integer and just-below-integer grids; the step
-        # across 1024 ms rounds 1019.9999999999999 up to 1030.0, and from
-        # there on the pod that was at the earlier instant retries first,
-        # although it started waiting later.
+class TestQueueOrder:
+    @staticmethod
+    def _pool(capacity: int) -> tuple[Simulator, PoolManager]:
         sim = Simulator()
-        pool = pool_cls(
-            sim, [VirtualMachine(0, 2000)],
+        pool = PoolManager(
+            sim, [VirtualMachine(0, capacity)],
             {"A": make_function("A", cold_start_ms=0.0)}, warm_pool_size=0,
         )
+        return sim, pool
+
+    def test_oldest_pending_pod_is_placed_first(self):
+        sim, pool = self._pool(3000)
         placed = []
 
         def holder():
-            pod = yield from pool.acquire("A", 2000)
-            pod.start_invocation()
-            yield sim.timeout(1500.0)
-            pod.finish_invocation()
-            pool.release(pod)
-
-        def pending(name, at):
-            yield sim.timeout(at)
-            pod = yield from pool.acquire("A", 2000)
-            placed.append((name, sim.now))
+            pod = yield from pool.acquire("A", 3000)
             pod.start_invocation()
             yield sim.timeout(100.0)
             pod.finish_invocation()
             pool.release(pod)
 
+        def pending(name, at, size):
+            yield sim.timeout(at)
+            pod = yield from pool.acquire("A", size)
+            placed.append((name, sim.now))
+            pod.start_invocation()
+            yield sim.timeout(50.0)
+            pod.finish_invocation()
+            pool.release(pod)
+
         sim.process(holder())
-        sim.process(pending("integer grid", 980.0))
-        sim.process(pending("just below", 989.9999999999999))
+        sim.process(pending("first", 10.0, 2000))
+        sim.process(pending("second", 20.0, 2000))
+        # A smaller pod behind them may take what the oldest leaves free.
+        sim.process(pending("small", 30.0, 1000))
         sim.run()
-        assert placed == [("just below", 1500.0), ("integer grid", 1600.0)]
-        assert pool.throttled == 52 + 61
+        assert placed == [("first", 100.0), ("small", 100.0), ("second", 150.0)]
+        assert pool.throttled == 3
+        assert pool.throttled_wait_ms == (100 - 10) + (100 - 30) + (150 - 20)
+
+    def test_cores_freed_and_taken_in_one_event_stay_taken(self):
+        # A chain releasing one stage's pod and acquiring the next stage's
+        # in the same event keeps the cores: the wake runs after it.
+        sim, pool = self._pool(2000)
+        order = []
+
+        def chain():
+            for _ in range(2):
+                pod = yield from pool.acquire("A", 2000)
+                order.append(("chain", sim.now))
+                pod.start_invocation()
+                yield sim.timeout(100.0)
+                pod.finish_invocation()
+                pool.release(pod)  # warm_pool_size=0: evicted at once
+
+        def pending():
+            yield sim.timeout(10.0)
+            yield from pool.acquire("A", 2000)
+            order.append(("pending", sim.now))
+
+        sim.process(chain())
+        sim.process(pending())
+        sim.run()
+        assert order == [("chain", 0.0), ("chain", 100.0), ("pending", 200.0)]
+        assert (pool.throttled, pool.throttled_wait_ms) == (1, 190.0)
 
 
 class TestIncrementalAccounting:
@@ -287,33 +430,3 @@ class TestIncrementalAccounting:
             # The wake-up hook fires exactly when usable capacity grew.
             gained = vm.free > before[0] or (vm.up and not before[1])
             assert freed == ([vm.vm_id] if gained else [])
-
-
-_PINNED_SWEEP = (
-    "sweep --jobs 1 --no-cache --executor cluster --workflows IA,VA "
-    "--tenants 2 --slo-scales 1.0 --requests 60 --arrivals poisson@6 "
-    "--policies Janus,Optimal"
-).split()
-
-
-@pytest.mark.parametrize("extra", [
-    "--cluster-config n_vms=1,keepalive_ms=500,autoscale=false,"
-    "warm_pool_size=4 --faults none,preempt@3,contention@2 --seed 11",
-    "--cluster-config n_vms=1,warm_pool_size=1 --faults preempt@8:1000 "
-    "--seed 5",
-    "--cluster-config n_vms=1,keepalive_ms=200,warm_pool_size=3,min_warm=0 "
-    "--faults preempt@5 --seed 42",
-], ids=["keepalive-warm4", "warm1-preempt", "keepalive-min0"])
-def test_pinned_sweeps_match_polling_bytes(extra, tmp_path):
-    def report(path, *contexts):
-        with contextlib.ExitStack() as stack:
-            for ctx in contexts:
-                stack.enter_context(ctx)
-            stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
-            assert cli_main([*_PINNED_SWEEP, *extra.split(),
-                             "--json", str(path)]) == 0
-        return path.read_bytes()
-
-    new = report(tmp_path / "new.json")
-    reference = report(tmp_path / "reference.json", polling_pools())
-    assert new == reference

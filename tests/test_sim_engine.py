@@ -124,65 +124,6 @@ class TestRunLoop:
         sim.run()
         assert sim.processed_events == 5
 
-    def test_active_event_is_the_one_being_processed(self):
-        sim = Simulator()
-        assert sim.active_event is None
-        seen = []
-        first = sim.timeout(3.0)
-        first.add_callback(lambda e: seen.append(sim.active_event))
-        sim.run()
-        assert seen == [first]
-        # step() tracks it too.
-        second = sim.timeout(1.0)
-        second.add_callback(lambda e: seen.append(sim.active_event))
-        sim.step()
-        assert seen == [first, second]
-
-
-class TestScheduleAt:
-    def test_lands_on_the_exact_absolute_time(self):
-        sim = Simulator()
-        sim.run(until=21.7)
-        # A relative delay misses: 21.7 + (63.9 - 21.7) rounds to
-        # 63.900000000000006.
-        assert sim.now + (63.9 - sim.now) != 63.9
-        ev = sim.schedule_at(sim.event(), 63.9)
-        sim.run()
-        assert ev.processed and sim.now == 63.9
-
-    def test_past_time_rejected(self):
-        sim = Simulator()
-        sim.run(until=5.0)
-        with pytest.raises(SimulationError, match="past"):
-            sim.schedule_at(sim.event(), 4.999)
-
-    def test_now_is_allowed(self):
-        sim = Simulator()
-        sim.run(until=5.0)
-        ev = sim.schedule_at(sim.event(), 5.0)
-        sim.run()
-        assert ev.processed and sim.now == 5.0
-
-    def test_triggered_event_rejected(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError, match="already triggered"):
-            sim.schedule_at(sim.event().succeed(), 1.0)
-        with pytest.raises(SimulationError, match="already triggered"):
-            sim.schedule_at(sim.timeout(1.0), 2.0)
-
-    def test_same_time_events_keep_push_order(self):
-        order = []
-        sim = Simulator()
-        for name in ("a", "b", "c"):
-            ev = sim.event()
-            ev.add_callback(lambda e, name=name: order.append(name))
-            sim.schedule_at(ev, 7.0)
-            # A relative timeout pushed in between lands in between.
-            if name == "a":
-                sim.timeout(7.0).add_callback(lambda e: order.append("t"))
-        sim.run()
-        assert order == ["a", "t", "b", "c"]
-
 
 class TestSucceedNow:
     def test_resumes_waiting_process_inside_the_call(self):

@@ -21,6 +21,65 @@ def lognormal_stream(n, seed):
     return rng.lognormal(mean=5.0, sigma=0.6, size=n)
 
 
+def jain_chlamtac_p2(p, xs):
+    """The P² algorithm as Jain & Chlamtac (CACM 28(10), 1985) state it,
+    with their 1-based marker arrays: marker heights ``q``, actual
+    positions ``n``, desired positions ``nd`` and increments ``dnd``.
+    Returns the heights after each observation from the sixth on."""
+    q = [None] + sorted(xs[:5])
+    n = [None, 1, 2, 3, 4, 5]
+    nd = [None, 1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0]
+    dnd = [None, 0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0]
+    out = []
+    for x in xs[5:]:
+        # B1: find the cell k holding x, adjusting the extremes.
+        if x < q[1]:
+            q[1] = x
+            k = 1
+        elif x < q[2]:
+            k = 1
+        elif x < q[3]:
+            k = 2
+        elif x < q[4]:
+            k = 3
+        elif x <= q[5]:
+            k = 4
+        else:
+            q[5] = x
+            k = 4
+        # B2: shift the positions of markers k+1..5 and all desired ones.
+        for i in range(k + 1, 6):
+            n[i] = n[i] + 1
+        for i in range(1, 6):
+            nd[i] = nd[i] + dnd[i]
+        # B3: adjust the heights of markers 2..4 if they are off.
+        for i in (2, 3, 4):
+            d = nd[i] - n[i]
+            if (d >= 1 and n[i + 1] - n[i] > 1) or (
+                d <= -1 and n[i - 1] - n[i] < -1
+            ):
+                d = 1 if d >= 0 else -1
+                qp = q[i] + d / (n[i + 1] - n[i - 1]) * (
+                    (n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
+                    + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
+                )
+                if q[i - 1] < qp < q[i + 1]:
+                    q[i] = qp
+                else:
+                    q[i] = q[i] + d * (q[i + d] - q[i]) / (n[i + d] - n[i])
+                n[i] = n[i] + d
+        out.append(q[1:])
+    return out
+
+
+#: Finite observations, with ties drawn often enough to exercise the
+#: cell boundaries.
+observations = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.integers(0, 4).map(float),
+)
+
+
 class TestP2Quantile:
     def test_invalid_quantile_rejected(self):
         for q in (0.0, 1.0, -0.1, 1.5):
@@ -59,16 +118,24 @@ class TestP2Quantile:
         exact = float(np.percentile(samples, p))
         assert abs(est.value - exact) / exact < 0.01
 
-    @settings(max_examples=15, deadline=None)
-    @given(seed=seeds, q=st.sampled_from([0.5, 0.9, 0.99]))
-    def test_property_converges_to_exact(self, seed, q):
-        rng = np.random.default_rng(seed)
-        samples = rng.exponential(100.0, size=8000)
+    # P² itself, not this implementation, sets how far the estimate lands
+    # from the exact quantile (on 8,000 exponential samples, up to 24 % at
+    # q=0.99 for some seeds), so accuracy is pinned only on fixed streams
+    # (test_50k_lognormal_within_one_percent); this pins the recurrence.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        q=st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                    exclude_max=True),
+        xs=st.lists(observations, min_size=5, max_size=300),
+    )
+    def test_property_matches_jain_chlamtac_recurrence(self, q, xs):
         est = P2Quantile(q)
-        for x in samples:
+        for x in xs[:5]:
             est.add(x)
-        exact = float(np.percentile(samples, 100.0 * q))
-        assert est.value == pytest.approx(exact, rel=0.05)
+        for markers in jain_chlamtac_p2(q, xs):
+            est.add(xs[est.count])
+            assert est._heights == markers  # bit-exact
+            assert est.value == markers[2]
 
     @settings(max_examples=15, deadline=None)
     @given(seed=seeds)

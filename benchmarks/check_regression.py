@@ -1,4 +1,4 @@
-"""Fail CI when a hot-path throughput headline regresses past tolerance.
+"""Fail CI when a hot-path headline regresses or a work counter moves.
 
 Usage::
 
@@ -8,10 +8,16 @@ Compares the higher-is-better keys of the guarded sections (the DES
 kernel, the batched analytic executor, the Optimal oracle, the saturated
 DES cluster, the fabric scheduler, the fleet router and the serving loop)
 and exits non-zero when any current number falls more than
-``JANUS_BENCH_TOLERANCE`` (default 25%) below the committed baseline. Wall-time sections (sweeps, caches) are
-deliberately not guarded: they track runner hardware more than code, and
-the bit-identity asserts inside the bench suite already cover their
-correctness.
+``JANUS_BENCH_TOLERANCE`` (default 25%) below the committed baseline.
+Deterministic work counters (sim events, throttled acquisitions, retries,
+failovers, the remote-routed fraction) are seeded and machine-independent,
+so they must equal the baseline exactly: any movement is a behaviour
+change to re-pin on purpose, not noise. Some of them scale with
+``JANUS_BENCH_REQUESTS``/``JANUS_BENCH_SAMPLES``, so both files must
+come from runs at the same bench scale (the committed baseline is at
+CI's). Wall-time sections (sweeps, caches) are deliberately not
+guarded: they track runner hardware more than code, and the bit-identity
+asserts inside the bench suite already cover their correctness.
 """
 
 from __future__ import annotations
@@ -38,14 +44,19 @@ GUARDED: dict[str, tuple[str, ...]] = {
     # itself — real-cell distributed walls stay unguarded like the other
     # wall-time sections.
     "distributed": ("two_worker_speedup",),
-    # remote_fraction is deterministic for the committed seed on the
-    # fixed-size fleet bench matrix, so any movement is a routing
-    # behaviour change, not noise; the router rate guards the per-arrival
-    # hot path shared by the batch evaluator and the serving loop.
-    "fleet": ("routed_requests_per_s", "remote_fraction"),
+    # The router rate guards the per-arrival hot path shared by the batch
+    # evaluator and the serving loop.
+    "fleet": ("routed_requests_per_s",),
     # The always-on serving loop, unpaced: blocks served through the
     # analytic kernel and replayed in wavefront order.
     "serving": ("loop_requests_per_s",),
+}
+
+#: section -> deterministic keys that must equal the baseline exactly.
+EXACT: dict[str, tuple[str, ...]] = {
+    "fleet": ("remote_fraction", "failover_cell_failovers"),
+    "cluster": ("sim_events", "throttled"),
+    "faults": ("faulted_cell_retries", "schedule_events_10min"),
 }
 
 
@@ -72,6 +83,17 @@ def check(baseline: dict, current: dict, tolerance: float) -> list[str]:
                 failures.append(
                     f"{section}.{key}: {cur:,.0f} < {floor:,.0f} "
                     f"({tolerance:.0%} below baseline {base:,.0f})"
+                )
+    for section, keys in EXACT.items():
+        base_sec = baseline.get(section) or {}
+        cur_sec = current.get(section) or {}
+        for key in keys:
+            if key not in base_sec:
+                continue
+            if cur_sec.get(key) != base_sec[key]:
+                failures.append(
+                    f"{section}.{key}: {cur_sec.get(key)!r} != baseline "
+                    f"{base_sec[key]!r} (deterministic; must not move)"
                 )
     return failures
 

@@ -150,6 +150,25 @@ class FunctionModel:
             interference=float(interference),
         )
 
+    def sample_dynamics_many(
+        self, rng: np.random.Generator, n: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(worksets, noise_z)`` of ``n`` invocations drawn at once.
+
+        Makes the same scalar calls on ``rng``, in the same order, as ``n``
+        :meth:`sample_dynamics` calls (workset draw, then the noise draw,
+        per invocation), so both leave ``rng`` in the same state and draw
+        bit-identical values; only the workset's transform of its raw
+        draws runs over the whole column.
+        """
+        draw = self.workset.raw_sampler(rng)
+        normal = rng.standard_normal
+        pairs = np.array(
+            [(draw(), normal()) for _ in range(n)], dtype=np.float64
+        ).reshape(n, 2)
+        raw, noise_z = pairs.T.copy()
+        return self.workset.from_raw(raw), noise_z
+
     def execution_time(
         self,
         k: Millicores,

@@ -7,12 +7,17 @@ published ranges so the execution-time model inherits the documented skew.
 
 Each distribution exposes vectorised sampling (``sample``) plus a
 ``reference`` size used to normalise the workset factor in the performance
-model.
+model. Block samplers that interleave draws from one stream with other
+draws (:meth:`~repro.functions.model.FunctionModel.sample_dynamics_many`)
+split a draw in two: ``raw_sampler`` makes the scalar random call, and
+``from_raw`` maps a column of those raw draws to sizes with vector
+operations that are bit-identical to the scalar ``sample``.
 """
 
 from __future__ import annotations
 
 import abc
+import typing as _t
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +49,17 @@ class WorksetDistribution(abc.ABC):
     def support(self) -> tuple[float, float]:
         """(lower, upper) bounds of possible sizes (may be infinite)."""
 
+    def raw_sampler(self, rng: np.random.Generator) -> _t.Callable[[], float]:
+        """A zero-argument callable making the random calls of one scalar
+        ``sample(rng)``; :meth:`from_raw` turns a column of its results
+        into sizes."""
+        return lambda: float(self.sample(rng))
+
+    def from_raw(self, raw: np.ndarray) -> np.ndarray:
+        """Sizes from a column of :meth:`raw_sampler` draws, each
+        bit-identical to the scalar ``sample`` that made the same calls."""
+        return raw
+
 
 @dataclass(frozen=True)
 class FixedWorkset(WorksetDistribution):
@@ -63,6 +79,10 @@ class FixedWorkset(WorksetDistribution):
         if size is None:
             return self.value
         return np.full(size, self.value, dtype=np.float64)
+
+    def raw_sampler(self, rng: np.random.Generator) -> _t.Callable[[], float]:
+        value = float(self.value)
+        return lambda: value
 
     def support(self) -> tuple[float, float]:
         return (self.value, self.value)
@@ -89,6 +109,10 @@ class UniformIntWorkset(WorksetDistribution):
             return float(draw)
         return draw.astype(np.float64)
 
+    def raw_sampler(self, rng: np.random.Generator) -> _t.Callable[[], float]:
+        integers, lo, hi = rng.integers, self.lo, self.hi + 1
+        return lambda: integers(lo, hi)
+
     def support(self) -> tuple[float, float]:
         return (float(self.lo), float(self.hi))
 
@@ -107,6 +131,10 @@ class LogUniformWorkset(WorksetDistribution):
     def __post_init__(self) -> None:
         if self.lo <= 0 or self.hi <= self.lo:
             raise FunctionModelError(f"invalid range [{self.lo}, {self.hi}]")
+        # The bounds of the uniform draw, computed once (not dataclass
+        # fields: equality, hashing and repr see only lo and hi).
+        object.__setattr__(self, "_log_lo", float(np.log(self.lo)))
+        object.__setattr__(self, "_log_hi", float(np.log(self.hi)))
 
     @property
     def reference(self) -> float:
@@ -114,11 +142,18 @@ class LogUniformWorkset(WorksetDistribution):
         return float(np.sqrt(self.lo * self.hi))
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        u = rng.uniform(np.log(self.lo), np.log(self.hi), size=size)
+        u = rng.uniform(self._log_lo, self._log_hi, size=size)
         out = np.exp(u)
         if size is None:
             return float(out)
         return out
+
+    def raw_sampler(self, rng: np.random.Generator) -> _t.Callable[[], float]:
+        uniform, lo, hi = rng.uniform, self._log_lo, self._log_hi
+        return lambda: uniform(lo, hi)
+
+    def from_raw(self, raw: np.ndarray) -> np.ndarray:
+        return np.exp(raw)
 
     def support(self) -> tuple[float, float]:
         return (float(self.lo), float(self.hi))
@@ -152,6 +187,12 @@ class LognormalWorkset(WorksetDistribution):
         if size is None:
             return float(out)
         return out
+
+    def raw_sampler(self, rng: np.random.Generator) -> _t.Callable[[], float]:
+        return rng.standard_normal
+
+    def from_raw(self, raw: np.ndarray) -> np.ndarray:
+        return np.minimum(self.median * np.exp(self.sigma * raw), self.clip_hi)
 
     def support(self) -> tuple[float, float]:
         return (0.0, float(self.clip_hi))

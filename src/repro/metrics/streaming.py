@@ -21,12 +21,20 @@ is in flight. This module provides the O(1)-memory counterparts:
 Every estimator is deterministic in the arrival order of its inputs: two
 replays of the same stream produce bit-identical snapshots. That is the
 contract the serving determinism tests pin.
+
+Each estimator also takes a column of observations at once
+(``add_many``): the same sequential recurrence as repeated ``add``, in
+the same float order, run in one frame over local variables. A block of
+values and the same values one by one leave bit-identical state.
 """
 
 from __future__ import annotations
 
+import itertools
 import typing as _t
 from collections import deque
+
+import numpy as np
 
 from ..errors import ExperimentError
 
@@ -36,6 +44,13 @@ __all__ = [
     "WindowedRate",
     "StreamingSummary",
 ]
+
+
+def _floats(values: _t.Iterable[float]) -> list[float]:
+    """``values`` as Python floats, each converted as ``float(x)`` is."""
+    if isinstance(values, np.ndarray):
+        return values.astype(np.float64).tolist()
+    return [float(x) for x in values]
 
 
 class P2Quantile:
@@ -98,6 +113,96 @@ class P2Quantile:
                 h[i] = cand
                 pos[i] += step
 
+    def add_many(self, values: _t.Iterable[float]) -> None:
+        """Fold observations in order, as repeated :meth:`add` would."""
+        self._fold(_floats(values))
+
+    def _fold(self, xs: list[float]) -> None:
+        # The body of add over locals: markers h0..h4 at positions n0..n4
+        # with desired positions e0..e4. Each interior marker's nudge is
+        # written out (marker 1, then 2, then 3, as add orders them) with
+        # _parabolic and _linear inlined term for term.
+        i = 0
+        while self.count < 5 and i < len(xs):
+            self.add(xs[i])
+            i += 1
+        if i == len(xs):
+            return
+        h0, h1, h2, h3, h4 = self._heights
+        n0, n1, n2, n3, n4 = self._pos
+        e0, e1, e2, e3, e4 = self._desired
+        dp0, dp1, dp2, dp3, dp4 = self._dp
+        for x in itertools.islice(xs, i, None):
+            # Locate the cell k and move the markers above it.
+            if x < h0:
+                h0 = x
+                n1 += 1
+                n2 += 1
+                n3 += 1
+            elif x >= h4:
+                h4 = x
+            elif not x >= h1:  # k = 0
+                n1 += 1
+                n2 += 1
+                n3 += 1
+            elif not x >= h2:  # k = 1
+                n2 += 1
+                n3 += 1
+            elif not x >= h3:  # k = 2
+                n3 += 1
+            n4 += 1
+            e0 += dp0
+            e1 += dp1
+            e2 += dp2
+            e3 += dp3
+            e4 += dp4
+            d = e1 - n1
+            if (d >= 1.0 and n2 - n1 > 1) or (d <= -1.0 and n0 - n1 < -1):
+                s = 1 if d >= 1.0 else -1
+                c = h1 + s / (n2 - n0) * (
+                    (n1 - n0 + s) * (h2 - h1) / (n2 - n1)
+                    + (n2 - n1 - s) * (h1 - h0) / (n1 - n0)
+                )
+                if not h0 < c < h2:
+                    if s == 1:
+                        c = h1 + s * (h2 - h1) / (n2 - n1)
+                    else:
+                        c = h1 + s * (h0 - h1) / (n0 - n1)
+                h1 = c
+                n1 += s
+            d = e2 - n2
+            if (d >= 1.0 and n3 - n2 > 1) or (d <= -1.0 and n1 - n2 < -1):
+                s = 1 if d >= 1.0 else -1
+                c = h2 + s / (n3 - n1) * (
+                    (n2 - n1 + s) * (h3 - h2) / (n3 - n2)
+                    + (n3 - n2 - s) * (h2 - h1) / (n2 - n1)
+                )
+                if not h1 < c < h3:
+                    if s == 1:
+                        c = h2 + s * (h3 - h2) / (n3 - n2)
+                    else:
+                        c = h2 + s * (h1 - h2) / (n1 - n2)
+                h2 = c
+                n2 += s
+            d = e3 - n3
+            if (d >= 1.0 and n4 - n3 > 1) or (d <= -1.0 and n2 - n3 < -1):
+                s = 1 if d >= 1.0 else -1
+                c = h3 + s / (n4 - n2) * (
+                    (n3 - n2 + s) * (h4 - h3) / (n4 - n3)
+                    + (n4 - n3 - s) * (h3 - h2) / (n3 - n2)
+                )
+                if not h2 < c < h4:
+                    if s == 1:
+                        c = h3 + s * (h4 - h3) / (n4 - n3)
+                    else:
+                        c = h3 + s * (h2 - h3) / (n2 - n3)
+                h3 = c
+                n3 += s
+        self._heights[:] = (h0, h1, h2, h3, h4)
+        self._pos[:] = (n0, n1, n2, n3, n4)
+        self._desired[:] = (e0, e1, e2, e3, e4)
+        self.count += len(xs) - i
+
     def _parabolic(self, i: int, d: int) -> float:
         h, n = self._heights, self._pos
         return h[i] + d / (n[i + 1] - n[i - 1]) * (
@@ -157,6 +262,26 @@ class StreamingMoments:
             self._min = x
         if x > self._max:
             self._max = x
+
+    def add_many(self, values: _t.Iterable[float]) -> None:
+        """Fold observations in order, as repeated :meth:`add` would."""
+        self._fold(_floats(values))
+
+    def _fold(self, xs: list[float]) -> None:
+        count, mean, m2 = self.count, self._mean, self._m2
+        lo, hi, total = self._min, self._max, self._total
+        for x in xs:
+            count += 1
+            delta = x - mean
+            mean += delta / count
+            m2 += delta * (x - mean)
+            total += x
+            if x < lo:
+                lo = x
+            if x > hi:
+                hi = x
+        self.count, self._mean, self._m2 = count, mean, m2
+        self._min, self._max, self._total = lo, hi, total
 
     def _require(self) -> None:
         if self.count == 0:
@@ -238,6 +363,26 @@ class WindowedRate:
             self.true_count += 1
         self.count += 1
 
+    def add_many(self, outcomes: _t.Iterable[bool]) -> None:
+        """Record outcomes in order, as repeated :meth:`add` would."""
+        if isinstance(outcomes, np.ndarray):
+            flags = outcomes.astype(bool).tolist()
+        else:
+            flags = [bool(x) for x in outcomes]
+        recent = self._recent
+        # The outcomes the window evicts: the oldest of old + new.
+        evicted = len(recent) + len(flags) - self.window
+        dropped = (
+            sum(itertools.islice(itertools.chain(recent, flags), evicted))
+            if evicted > 0
+            else 0
+        )
+        recent.extend(flags)
+        trues = sum(flags)
+        self._recent_true += trues - dropped
+        self.true_count += trues
+        self.count += len(flags)
+
     @property
     def rate(self) -> float:
         """All-time fraction of true outcomes (0 when empty)."""
@@ -282,6 +427,13 @@ class StreamingSummary:
         for est in self._quantiles.values():
             est.add(x)
         self.moments.add(x)
+
+    def add_many(self, values: _t.Iterable[float]) -> None:
+        """Fold observations in order, as repeated :meth:`add` would."""
+        xs = _floats(values)
+        for est in self._quantiles.values():
+            est._fold(xs)
+        self.moments._fold(xs)
 
     @property
     def count(self) -> int:

@@ -42,7 +42,7 @@ from ..errors import ExperimentError
 from ..metrics.streaming import StreamingMoments, StreamingSummary
 from ..policies.base import SizingPolicy
 from ..workflow.catalog import Workflow
-from ..workflow.request import WorkflowRequest
+from ..workflow.request import RequestBatch, WorkflowRequest
 from .registry import register_executor
 from .results import (
     ColumnarRunResult,
@@ -58,30 +58,6 @@ __all__ = ["AnalyticExecutor", "DEFAULT_STREAM_CHUNK"]
 #: per-stage vector dispatch, small enough to keep memory O(1) in the
 #: stream length.
 DEFAULT_STREAM_CHUNK = 2048
-
-
-def _dynamics_columns(
-    requests: _t.Sequence[WorkflowRequest], fname: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-invocation dynamics of one stage as aligned arrays."""
-    dyns = [r.dynamics_for(fname) for r in requests]
-    return (
-        np.asarray([d.workset for d in dyns], dtype=np.float64),
-        np.asarray([d.noise_z for d in dyns], dtype=np.float64),
-        np.asarray([d.interference for d in dyns], dtype=np.float64),
-    )
-
-
-def _request_columns(
-    requests: _t.Sequence[WorkflowRequest],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(ids, arrivals, slos, concurrencies) of a batch as arrays."""
-    return (
-        np.asarray([r.request_id for r in requests], dtype=np.int64),
-        np.asarray([r.arrival_ms for r in requests], dtype=np.float64),
-        np.asarray([r.slo_ms for r in requests], dtype=np.float64),
-        np.asarray([r.concurrency for r in requests], dtype=np.int64),
-    )
 
 
 def _run_hooks(
@@ -121,9 +97,12 @@ class AnalyticExecutor:
     ) -> OutcomeColumns:
         """Serve a batch node by node with vector policy/model evaluation.
 
-        Assumes the policy is bound. Hooks fire begin-all / node-major /
-        end-all; for ``vector_safe`` policies this is indistinguishable
-        from request-major order, and a one-request batch *is* that order.
+        The kernel reads columns only: a plain request sequence is gathered
+        into a :class:`~repro.workflow.request.RequestBatch` once, on
+        entry. Assumes the policy is bound. Hooks fire begin-all /
+        node-major / end-all; for ``vector_safe`` policies this is
+        indistinguishable from request-major order, and a one-request
+        batch *is* that order.
 
         ``start`` and ``offsets`` resume a path walk: the batch has already
         run nodes ``< start`` (so no begin hooks fire) and spent
@@ -135,10 +114,10 @@ class AnalyticExecutor:
         if start and not is_path:
             raise ExperimentError("only a path walk can resume mid-walk")
         limits = self.workflow.limits
-        n = len(requests)
+        batch = RequestBatch.from_requests(requests, nodes)
+        n = len(batch)
         if not start:
-            _run_hooks(policy, requests, "begin_request")
-        ids, arrivals, slos, concurrencies = _request_columns(requests)
+            _run_hooks(policy, batch, "begin_request")
         width = len(nodes) - start
         sizes = np.empty((n, width), dtype=np.int64)
         start_offsets = np.empty((n, width), dtype=np.float64)
@@ -155,7 +134,7 @@ class AnalyticExecutor:
             else:
                 start_offset = np.zeros(n, dtype=np.float64)
             ks = np.asarray(
-                policy.sizes_for_node(fname, requests, start_offset),
+                policy.sizes_for_node(fname, batch, start_offset),
                 dtype=np.int64,
             )
             if self.clamp_sizes:
@@ -167,21 +146,23 @@ class AnalyticExecutor:
                     raise ExperimentError(
                         f"{policy.name}: size {bad} off-grid for stage {fname}"
                     )
-            worksets, noise_zs, interferences = _dynamics_columns(
-                requests, fname
-            )
+            c = batch.column(fname)
             exec_ms = self.workflow.model(fname).execution_times(
-                ks, worksets, noise_zs, interferences, concurrencies
+                ks,
+                batch.worksets[:, c],
+                batch.noise[:, c],
+                batch.interference[:, c],
+                batch.concurrency,
             )
             sizes[:, j - start] = ks
             start_offsets[:, j - start] = start_offset
             durations[:, j - start] = exec_ms
             end_offsets[j] = start_offset + exec_ms
-        _run_hooks(policy, requests, "end_request")
+        _run_hooks(policy, batch, "end_request")
         return OutcomeColumns(
-            request_ids=ids,
-            arrivals=arrivals,
-            slos=slos,
+            request_ids=batch.ids,
+            arrivals=batch.arrivals,
+            slos=batch.slos,
             functions=nodes[start:],
             sizes=sizes,
             offsets=start_offsets,
@@ -244,16 +225,10 @@ class AnalyticExecutor:
         iterator = iter(requests)
         while chunk := list(itertools.islice(iterator, chunk_size)):
             columns = self._serve_batch(policy, chunk)
-            for e2e, alloc, slk, met in zip(
-                columns.e2e_ms().tolist(),
-                columns.allocated().tolist(),
-                columns.slacks().tolist(),
-                columns.slo_met().tolist(),
-            ):
-                latency.add(e2e)
-                cost.add(alloc)
-                slack.add(slk)
-                violations += not met
+            latency.add_many(columns.e2e_ms())
+            cost.add_many(columns.allocated())
+            slack.add_many(columns.slacks())
+            violations += int(np.count_nonzero(~columns.slo_met()))
             n += len(chunk)
         if n == 0:
             raise ExperimentError("request stream is empty")

@@ -6,14 +6,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FunctionModelError
+from repro.functions import library
 from repro.functions.model import FunctionModel, InvocationDynamics, Resource
 from repro.functions.worksets import (
     FixedWorkset,
     LognormalWorkset,
     LogUniformWorkset,
     UniformIntWorkset,
+    WorksetDistribution,
 )
 from tests.conftest import make_function
+
+#: Every calibrated model: fixed, uniform-int, log-uniform and lognormal
+#: worksets.
+LIBRARY = (
+    library.ia_functions()
+    + library.va_functions()
+    + library.microbenchmark_functions()
+)
+
+
+class TwoDrawWorkset(WorksetDistribution):
+    """A third-party distribution: two random calls per scalar draw and
+    no block override, so it samples through the generic path."""
+
+    reference = 1.0
+
+    def sample(self, rng, size=None):
+        return 1.0 + rng.random(size) + rng.integers(0, 3, size)
+
+    def support(self):
+        return (1.0, 4.0)
 
 
 class TestWorksets:
@@ -61,6 +84,13 @@ class TestWorksets:
             LognormalWorkset(median=-1.0, sigma=0.1)
         with pytest.raises(FunctionModelError):
             LognormalWorkset(median=2.0, sigma=0.1, clip_hi=1.0)
+
+    def test_loguniform_cached_logs_are_not_fields(self):
+        ws = LogUniformWorkset(35.0, 641.0)
+        assert repr(ws) == "LogUniformWorkset(lo=35.0, hi=641.0)"
+        assert ws == LogUniformWorkset(35.0, 641.0)
+        assert hash(ws) == hash(LogUniformWorkset(35.0, 641.0))
+        assert (ws._log_lo, ws._log_hi) == (np.log(35.0), np.log(641.0))
 
     def test_scalar_sample_is_float(self, rng):
         for ws in (UniformIntWorkset(1, 5), LogUniformWorkset(1, 9),
@@ -183,3 +213,41 @@ class TestFunctionModel:
 
     def test_resource_enum(self):
         assert Resource.NETWORK.value == "network"
+
+
+class TestBlockSampler:
+    """``sample_dynamics_many`` draws what ``n`` sequential
+    ``sample_dynamics`` calls draw, bit for bit, and leaves the stream in
+    the same state."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        model=st.sampled_from(
+            LIBRARY
+            + [
+                make_function("X", workset=TwoDrawWorkset()),
+                # A clip that binds on about a third of the draws.
+                make_function(
+                    "C", workset=LognormalWorkset(1.0, 1.0, clip_hi=1.5)
+                ),
+            ]
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 80),
+        scale=st.sampled_from([None, 4.0, 0.37, 3]),
+    )
+    def test_property_matches_sequential(self, model, seed, n, scale):
+        seq_rng, block_rng = (np.random.default_rng(seed) for _ in range(2))
+        dyns = [model.sample_dynamics(seq_rng) for _ in range(n)]
+        worksets, noise = model.sample_dynamics_many(block_rng, n)
+        expected = [d.workset for d in dyns]
+        if scale is not None:
+            # The serving loop's drift: workset * scale per request.
+            expected = [w * scale for w in expected]
+            worksets = worksets * scale
+        assert worksets.shape == noise.shape == (n,)
+        assert repr(worksets.tolist()) == repr(expected)
+        assert repr(noise.tolist()) == repr([d.noise_z for d in dyns])
+        assert (
+            seq_rng.bit_generator.state == block_rng.bit_generator.state
+        )

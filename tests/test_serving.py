@@ -2,9 +2,13 @@
 
 import asyncio
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ExperimentError, TraceError
 from repro.rng import RngFactory
@@ -101,6 +105,134 @@ class TestEventLog:
     def test_read_missing_raises(self, tmp_path):
         with pytest.raises(ExperimentError, match="no event log"):
             read_events(tmp_path / "absent.jsonl")
+
+    def test_extend_orders_blocks_by_key(self):
+        log = EventLog()
+        log.emit("start")
+        log.extend(
+            ("arrival", np.array([0, 2]), {"request_id": np.array([7, 8])}),
+            ("decision", np.array([1]), {"ok": np.array([True])}),
+        )
+        assert log.count == 4
+        assert log.events == [
+            {"seq": 0, "kind": "start"},
+            {"seq": 1, "kind": "arrival", "request_id": 7},
+            {"seq": 2, "kind": "decision", "ok": True},
+            {"seq": 3, "kind": "arrival", "request_id": 8},
+        ]
+
+
+rounded = st.floats(0.0, 1e7, allow_nan=False).map(lambda x: round(x, 3))
+
+
+def in_order(fields):
+    """Records of ``fields``' strategies, keys in the order declared."""
+    return st.fixed_dictionaries(fields).map(
+        lambda record: {name: record[name] for name in fields}
+    )
+
+
+ARRIVAL = {
+    "request_id": st.integers(0, 10**6),
+    "arrival_ms": rounded,
+    "workset_scale": st.sampled_from([1.0, 4.0, 3]),
+}
+FLEET_ARRIVAL = {
+    **ARRIVAL,
+    "home": st.sampled_from(["us-east", "eu-west"]),
+    "served": st.sampled_from(["us-east", "eu-west"]),
+    "rtt_ms": st.sampled_from([0.0, 35.5, 80]),
+}
+DECISION = {
+    "request_id": st.integers(0, 10**6),
+    "e2e_ms": rounded,
+    "slo_met": st.booleans(),
+    "allocated_millicores": st.integers(0, 10**5),
+    "sizes": st.lists(st.integers(100, 3000), min_size=3, max_size=3),
+}
+DICT_EVENT = st.tuples(
+    st.sampled_from(["swap", "snapshot"]),
+    in_order({
+        "completed": st.integers(0, 100),
+        "p99": st.floats(0.0, 1e4, allow_nan=False),
+        "ratios": st.dictionaries(st.sampled_from(["OD", "QA"]), rounded),
+    }),
+)
+#: Integer, boolean and 2-D fields travel as numpy columns, the rest as
+#: lists, as the serving loop passes them.
+ARRAY_FIELDS = {"request_id", "slo_met", "allocated_millicores", "sizes"}
+
+
+def event_streams(fleet):
+    per_request = st.one_of(
+        in_order(FLEET_ARRIVAL if fleet else ARRIVAL).map(
+            lambda f: ("arrival", f)
+        ),
+        in_order(DECISION).map(lambda f: ("decision", f)),
+    )
+    # (kind, fields, cut): a cut ends the block of columns before it, and
+    # reads log.events there.
+    return st.lists(
+        st.tuples(st.one_of(per_request, DICT_EVENT), st.booleans()),
+        max_size=40,
+    )
+
+
+def write_columnar(log, stream):
+    block = []
+
+    def flush():
+        parts = []
+        for kind in ("arrival", "decision"):
+            rows = [(i, f) for i, (k, f) in enumerate(block) if k == kind]
+            if rows:
+                fields = {
+                    name: (
+                        np.array([f[name] for _, f in rows])
+                        if name in ARRAY_FIELDS
+                        else [f[name] for _, f in rows]
+                    )
+                    for name in rows[0][1]
+                }
+                parts.append((kind, np.array([i for i, _ in rows]), fields))
+        if parts:
+            log.extend(*parts)
+        block.clear()
+
+    for (kind, fields), cut in stream:
+        if cut:
+            flush()
+            log.events
+        if kind in ("arrival", "decision"):
+            block.append((kind, fields))
+        else:
+            flush()
+            log.emit(kind, **fields)
+    flush()
+
+
+class TestColumnarEventLog:
+    """Events recorded as columns read back, and write, exactly as one
+    ``emit`` per event would."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), fleet=st.booleans())
+    def test_property_matches_emit(self, data, fleet):
+        stream = data.draw(event_streams(fleet))
+        ref, col = EventLog(), EventLog()
+        for (kind, fields), _ in stream:
+            ref.emit(kind, **fields)
+        write_columnar(col, stream)
+        assert col.count == ref.count
+        assert repr(col.events) == repr(ref.events)
+        with tempfile.TemporaryDirectory() as tmp:
+            ref_path, col_path = Path(tmp, "ref.jsonl"), Path(tmp, "col.jsonl")
+            with EventLog(ref_path) as ref_file:
+                for (kind, fields), _ in stream:
+                    ref_file.emit(kind, **fields)
+            with EventLog(col_path) as col_file:
+                write_columnar(col_file, stream)
+            assert col_path.read_bytes() == ref_path.read_bytes()
 
 
 class TestServingConfig:

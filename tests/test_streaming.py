@@ -263,3 +263,102 @@ class TestStreamingSummary:
         for x in samples:
             b.add(x)
         assert a.snapshot() == b.snapshot()
+
+
+def chunked(xs, cuts):
+    """``xs`` split at the sorted, de-duplicated cut points ``cuts``."""
+    edges = [0, *sorted({c % (len(xs) + 1) for c in cuts}), len(xs)]
+    return [xs[a:b] for a, b in zip(edges, edges[1:])]
+
+
+def state(est):
+    """Every slot of an estimator, for a bit-exact comparison by repr."""
+    if isinstance(est, StreamingSummary):
+        return (
+            [state(q) for q in est._quantiles.values()],
+            state(est.moments),
+        )
+    if isinstance(est, WindowedRate):
+        return (list(est._recent), est._recent_true, est.count,
+                est.true_count)
+    return tuple(getattr(est, slot) for slot in est.__slots__)
+
+
+cut_points = st.lists(st.integers(0, 400), max_size=6)
+
+
+class TestAddMany:
+    """``add_many`` is repeated ``add``: same state, bit for bit, however
+    the stream is split into blocks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        q=st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                    exclude_max=True),
+        xs=st.lists(observations, max_size=300),
+        cuts=cut_points,
+        as_array=st.booleans(),
+    )
+    def test_property_p2_quantile(self, q, xs, cuts, as_array):
+        one, many = P2Quantile(q), P2Quantile(q)
+        for x in xs:
+            one.add(x)
+        for block in chunked(xs, cuts):
+            many.add_many(np.asarray(block) if as_array else block)
+        assert repr(state(many)) == repr(state(one))
+        if xs:
+            assert repr(many.snapshot()) == repr(one.snapshot())
+
+    @settings(max_examples=100, deadline=None)
+    @given(xs=st.lists(observations, max_size=200), cuts=cut_points)
+    def test_property_moments(self, xs, cuts):
+        one, many = StreamingMoments(), StreamingMoments()
+        for x in xs:
+            one.add(x)
+        for block in chunked(xs, cuts):
+            many.add_many(np.asarray(block, dtype=np.float64))
+        assert repr(state(many)) == repr(state(one))
+        if xs:
+            assert repr(many.snapshot()) == repr(one.snapshot())
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        outcomes=st.lists(st.booleans(), max_size=200),
+        window=st.integers(1, 40),
+        cuts=cut_points,
+    )
+    def test_property_windowed_rate(self, outcomes, window, cuts):
+        one, many = WindowedRate(window), WindowedRate(window)
+        for x in outcomes:
+            one.add(x)
+        for block in chunked(outcomes, cuts):
+            many.add_many(np.asarray(block, dtype=bool))
+        assert repr(state(many)) == repr(state(one))
+        assert repr(many.snapshot()) == repr(one.snapshot())
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        ps=st.lists(
+            st.floats(min_value=0.5, max_value=99.5), min_size=1,
+            max_size=4, unique=True,
+        ),
+        xs=st.lists(observations, max_size=300),
+        cuts=cut_points,
+    )
+    def test_property_summary(self, ps, xs, cuts):
+        one, many = StreamingSummary(ps), StreamingSummary(ps)
+        for x in xs:
+            one.add(x)
+        for block in chunked(xs, cuts):
+            many.add_many(block)
+        assert repr(state(many)) == repr(state(one))
+        if xs:
+            assert repr(many.snapshot()) == repr(one.snapshot())
+
+    def test_integer_column_folds_as_floats(self):
+        # Allocated millicores arrive as an int64 column.
+        one, many = StreamingMoments(), StreamingMoments()
+        for x in (4500, 3000, 6000):
+            one.add(x)
+        many.add_many(np.array([4500, 3000, 6000], dtype=np.int64))
+        assert repr(state(many)) == repr(state(one))

@@ -2,14 +2,22 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import WorkflowError
+from repro.errors import FunctionModelError, WorkflowError
 from repro.functions.model import InvocationDynamics
 from repro.workflow.catalog import Workflow, intelligent_assistant, video_analytics
 from repro.workflow.chain import chain_dag
 from repro.workflow.dag import WorkflowDAG
-from repro.workflow.request import RequestOutcome, StageRecord, WorkflowRequest
+from repro.workflow.request import (
+    RequestBatch,
+    RequestOutcome,
+    StageRecord,
+    WorkflowRequest,
+)
 from repro.workflow.spec import chain_spec, parse_spec
 from repro.workflow.subworkflow import (
     chain_suffixes,
@@ -316,3 +324,125 @@ class TestRequests:
     def test_empty_outcome(self):
         out = RequestOutcome(request_id=1, arrival_ms=0.0, slo_ms=100.0)
         assert out.e2e_ms == 0.0
+
+
+def batch_columns(n, nodes):
+    """Valid columns of an ``n``-request batch over ``nodes``."""
+    shape = (n, len(nodes))
+    return dict(
+        nodes=nodes,
+        ids=np.arange(n),
+        arrivals=np.linspace(0.0, 50.0, n),
+        slos=np.full(n, 3000.0),
+        concurrency=np.ones(n, dtype=np.int64),
+        worksets=np.arange(1.0, n * len(nodes) + 1.0).reshape(shape),
+        noise=np.linspace(-1.0, 1.0, n * len(nodes)).reshape(shape),
+        interference=np.ones(shape),
+    )
+
+
+def rows_of(columns):
+    """The same requests built one object at a time, in request order."""
+    nodes = columns["nodes"]
+    return [
+        WorkflowRequest(
+            request_id=int(columns["ids"][i]),
+            arrival_ms=float(columns["arrivals"][i]),
+            slo_ms=float(columns["slos"][i]),
+            stage_dynamics={
+                node: InvocationDynamics(
+                    workset=float(columns["worksets"][i, j]),
+                    noise_z=float(columns["noise"][i, j]),
+                    interference=float(columns["interference"][i, j]),
+                )
+                for j, node in enumerate(nodes)
+            },
+            concurrency=int(columns["concurrency"][i]),
+        )
+        for i in range(len(columns["ids"]))
+    ]
+
+
+#: (column, invalid value, error): one cell per WorkflowRequest or
+#: InvocationDynamics check.
+INVALID = [
+    ("worksets", 0.0, FunctionModelError),
+    ("worksets", -2.5, FunctionModelError),
+    ("interference", 0.5, FunctionModelError),
+    ("slos", 0.0, WorkflowError),
+    ("slos", -1.0, WorkflowError),
+    ("concurrency", 0, WorkflowError),
+]
+
+
+class TestRequestBatch:
+    def test_rows_are_built_from_columns(self):
+        columns = batch_columns(4, ("A", "B"))
+        batch = RequestBatch(**columns, workflow="W")
+        assert len(batch) == 4
+        for row, expected in zip(batch, rows_of(columns)):
+            expected.workflow = "W"
+            assert row == expected
+        assert batch[2] is batch[2]  # built once
+        assert batch[-1].request_id == 3
+
+    def test_from_requests_keeps_the_objects(self):
+        requests = rows_of(batch_columns(3, ("A", "B")))
+        batch = RequestBatch.from_requests(requests, ("B",))
+        assert all(a is b for a, b in zip(batch, requests))
+        assert batch.worksets[:, 0].tolist() == [
+            r.dynamics_for("B").workset for r in requests
+        ]
+        assert batch.worksets[:, 0].flags.c_contiguous
+        with pytest.raises(WorkflowError, match="no dynamics for 'C'"):
+            RequestBatch.from_requests(requests, ("C",))
+
+    def test_slices_and_joins(self):
+        columns = batch_columns(5, ("A", "B", "C"))
+        batch = RequestBatch(**columns)
+        head, tail = batch[:2], batch[2:]
+        assert [r.request_id for r in tail] == [2, 3, 4]
+        joined = head.concatenate(tail)
+        assert joined.ids.tolist() == list(range(5))
+        assert np.array_equal(joined.worksets, batch.worksets)
+        assert joined.noise[:, 1].flags.c_contiguous
+        assert list(joined) == list(batch)
+        with pytest.raises(WorkflowError, match="cannot join"):
+            batch.concatenate(RequestBatch(**batch_columns(1, ("A",))))
+        with pytest.raises(WorkflowError, match="has no dynamics"):
+            batch.column("D")
+
+    def test_shape_and_stage_checks(self):
+        with pytest.raises(WorkflowError, match=">= 1 stage"):
+            RequestBatch(**{**batch_columns(2, ("A",)), "nodes": ()})
+        with pytest.raises(WorkflowError, match="request columns"):
+            RequestBatch(**{**batch_columns(2, ("A",)), "slos": [1.0]})
+        with pytest.raises(WorkflowError, match="dynamics columns"):
+            RequestBatch(
+                **{**batch_columns(2, ("A",)), "noise": np.zeros((2, 2))}
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        width=st.integers(1, 3),
+        invalid=st.sampled_from(INVALID),
+        where=st.tuples(st.integers(0, 5), st.integers(0, 2)),
+    )
+    def test_property_every_check_raises_as_the_objects_do(
+        self, n, width, invalid, where
+    ):
+        name, value, error = invalid
+        columns = batch_columns(n, ("A", "B", "C")[:width])
+        row, node = where[0] % n, where[1] % width
+        column = columns[name].copy()
+        if column.ndim == 2:
+            column[row, node] = value
+        else:
+            column[row] = value
+        columns[name] = column
+        with pytest.raises(error) as scalar:
+            rows_of(columns)
+        with pytest.raises(error) as batched:
+            RequestBatch(**columns)
+        assert str(batched.value) == str(scalar.value)
